@@ -32,9 +32,17 @@
 //! criteria is produced inside the slice, and every member has a checked
 //! reason to be there. Bookkeeping defects — missing table, row counts
 //! disagreeing with the slice population, rows whose member is not in the
-//! bitmap — report [`Code::CertifyMismatch`].
+//! bitmap, a prefix too long for `u32` positions — report
+//! [`Code::CertifyMismatch`].
+//!
+//! The per-access cost is the shadow update, so the sweep's state is kept
+//! flat: memory is a `shadow::LastWriter` (byte-granular `u32` writer
+//! pages for small-operand regions, an interval map for large-buffer
+//! regions), member facts live in a `Vec` aligned with the sorted
+//! positions that need them, and the per-position loop allocates nothing
+//! — diagnostic text is formatted only when a diagnostic is emitted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::io::{Read, Seek};
 
 use wasteprof_slicer::{
@@ -42,76 +50,12 @@ use wasteprof_slicer::{
     Witnesses,
 };
 use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TracePos, TraceReader,
+    ColumnCursor, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TraceIoError, TracePos,
+    TraceReader,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
-
-/// Last-writer shadow over byte intervals: disjoint `[start, end)` spans
-/// mapping to the instruction index that last wrote them.
-#[derive(Default)]
-struct MemShadow {
-    map: BTreeMap<u64, (u64, u32)>,
-}
-
-impl MemShadow {
-    /// Splits any span straddling `at` so no interval crosses it.
-    fn split_at(&mut self, at: u64) {
-        let split = match self.map.range(..at).next_back() {
-            Some((&s, &(end, wr))) if end > at => Some((s, end, wr)),
-            _ => None,
-        };
-        if let Some((s, end, wr)) = split {
-            self.map.get_mut(&s).expect("entry just observed").0 = at;
-            self.map.insert(at, (end, wr));
-        }
-    }
-
-    /// Records `writer` as the last writer of `[lo, hi)`.
-    fn write(&mut self, lo: u64, hi: u64, writer: u32) {
-        if lo >= hi {
-            return;
-        }
-        self.split_at(lo);
-        self.split_at(hi);
-        let doomed: Vec<u64> = self.map.range(lo..hi).map(|(&s, _)| s).collect();
-        for s in doomed {
-            self.map.remove(&s);
-        }
-        self.map.insert(lo, (hi, writer));
-    }
-
-    /// Visits every sub-interval of `[lo, hi)` with its last writer,
-    /// `None` for bytes never written. Gaps are materialized so callers
-    /// see full coverage of the query.
-    fn for_range(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64, Option<u32>)) {
-        if lo >= hi {
-            return;
-        }
-        let mut at = lo;
-        if let Some((_, &(end, wr))) = self.map.range(..=lo).next_back() {
-            if end > lo {
-                let stop = end.min(hi);
-                f(at, stop, Some(wr));
-                at = stop;
-            }
-        }
-        for (&s, &(end, wr)) in self.map.range(at..hi) {
-            if s > at {
-                f(at, s, None);
-            }
-            let stop = end.min(hi);
-            f(s, stop, Some(wr));
-            at = stop;
-            if at >= hi {
-                break;
-            }
-        }
-        if at < hi {
-            f(at, hi, None);
-        }
-    }
-}
+use crate::shadow::LastWriter;
 
 /// Static facts about one instruction of interest (a witness member or
 /// consumer), captured when the forward sweep passes its position.
@@ -131,6 +75,66 @@ struct MemberMeta {
     is_call: bool,
 }
 
+/// Who consumed a checked fact, for complement-leak messages. Rendered
+/// only when a leak is reported.
+#[derive(Clone, Copy)]
+enum ReadBy {
+    Member(usize),
+    Criterion(TracePos),
+}
+
+impl fmt::Display for ReadBy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadBy::Member(idx) => write!(f, "slice member {}", TracePos(*idx as u64)),
+            ReadBy::Criterion(pos) => write!(f, "the criterion at {pos}"),
+        }
+    }
+}
+
+/// The sweep stores positions as `u32`, and `u32::MAX` is the shadow's
+/// never-written sentinel, so it accepts considered prefixes of at most
+/// `u32::MAX - 1` instructions: every position it sees is then exact in a
+/// `u32` and distinct from the sentinel. Returns the prefix length.
+fn position_domain(considered: u64) -> Result<usize, Diag> {
+    if considered >= u32::MAX as u64 {
+        return Err(Diag::at_end(
+            Code::CertifyMismatch,
+            format!(
+                "{considered} considered instructions exceed the certifier's \
+                 u32 position domain"
+            ),
+        ));
+    }
+    Ok(considered as usize)
+}
+
+/// Sort key grouping witness rows by consumer position; at one position,
+/// member-consumer rows sort before criterion-consumer rows. Exact for
+/// every position up to `u32::MAX`.
+fn consumer_key(pos: u64, is_criterion: bool) -> u64 {
+    (pos << 1) | is_criterion as u64
+}
+
+/// Merges two ascending sequences into one ascending, duplicate-free list.
+fn merge_dedup(a: &[u32], b: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let mut out: Vec<u32> = Vec::with_capacity(a.len());
+    let mut push = |x: u32| {
+        if out.last() != Some(&x) {
+            out.push(x);
+        }
+    };
+    let mut a = a.iter().copied().peekable();
+    for y in b {
+        while let Some(x) = a.next_if(|&x| x <= y) {
+            push(x);
+        }
+        push(y);
+    }
+    a.for_each(&mut push);
+    out
+}
+
 /// Sweep state shared by the edge and complement checks. Fed forward one
 /// [`ColumnCursor`] window at a time — the whole-trace cursor in
 /// [`certify`], bounded disk chunks in [`certify_streamed`] — so it never
@@ -142,28 +146,32 @@ struct Certifier<'a> {
     result: &'a SliceResult,
     /// Considered prefix length: the sweep covers `0..n`.
     n: usize,
-    /// Valid row indices sorted by `(consumer, is_criterion, row)`.
-    by_consumer: Vec<u32>,
+    /// `(consumer_key, row index)` of every valid row, sorted.
+    by_consumer: Vec<(u64, u32)>,
     /// Members whose own reads entered the live sets, sorted.
     gen_members: Vec<u32>,
     /// Positions of `include_instr` criteria inside the prefix.
     include_crit: Vec<u32>,
     /// Sorted, deduplicated member/consumer positions needing meta.
     interesting: Vec<u32>,
-    meta: HashMap<u32, MemberMeta>,
-    mem: MemShadow,
+    /// Meta of `interesting[..meta.len()]`, captured as the sweep passes
+    /// each position.
+    meta: Vec<MemberMeta>,
+    mem: LastWriter,
     regs: Vec<[Option<u32>; 16]>,
     stacks: Vec<Vec<u32>>,
     cons_cur: usize,
     gen_cur: usize,
     crit_cur: usize,
-    meta_cur: usize,
     out: Vec<Diag>,
 }
 
 impl Certifier<'_> {
-    fn member(&self, idx: u32) -> bool {
-        self.result.contains(TracePos(idx as u64))
+    /// Meta of `pos`, if the sweep has passed it and it is interesting.
+    fn meta_of(&self, pos: usize) -> Option<MemberMeta> {
+        let seen = &self.interesting[..self.meta.len()];
+        let k = seen.binary_search(&u32::try_from(pos).ok()?).ok()?;
+        Some(self.meta[k])
     }
 
     /// Checks one witness row at its consumer position (the index the
@@ -177,7 +185,6 @@ impl Certifier<'_> {
     fn check_edge(&mut self, row: &WitnessRow, cur: &ColumnCursor<'_>) {
         let m = row.member.index();
         let c = row.consumer.index();
-        let mm = self.meta.get(&(m as u32)).copied();
         match row.kind {
             WitnessKind::Mem => {
                 if row.fact_lo >= row.fact_hi {
@@ -190,7 +197,7 @@ impl Certifier<'_> {
                 }
                 let mut bad: Option<(u64, u64, Option<u32>)> = None;
                 self.mem.for_range(row.fact_lo, row.fact_hi, |lo, hi, wr| {
-                    if bad.is_none() && wr != Some(m as u32) {
+                    if bad.is_none() && wr.map(|w| w as usize) != Some(m) {
                         bad = Some((lo, hi, wr));
                     }
                 });
@@ -222,7 +229,7 @@ impl Certifier<'_> {
                 }
                 let tid_c = cur.tid(c);
                 let ti = tid_c.index();
-                if let Some(mm) = mm {
+                if let Some(mm) = self.meta_of(m) {
                     if mm.tid != tid_c {
                         self.out.push(Diag::at(
                             Code::CertifyStaleDef,
@@ -235,8 +242,9 @@ impl Certifier<'_> {
                         return;
                     }
                 }
-                if self.regs[ti][ri] != Some(m as u32) {
-                    let actual = match self.regs[ti][ri] {
+                let last = self.regs[ti][ri];
+                if last.map(|w| w as usize) != Some(m) {
+                    let actual = match last {
                         Some(w) => format!("{}", TracePos(w as u64)),
                         None => "never written".to_owned(),
                     };
@@ -253,7 +261,7 @@ impl Certifier<'_> {
             }
             WitnessKind::Control => {
                 let ok = m < c
-                    && mm.is_some_and(|mm| {
+                    && self.meta_of(m).is_some_and(|mm| {
                         mm.is_branch
                             && mm.tid == cur.tid(c)
                             && mm.func == cur.func(c)
@@ -276,8 +284,10 @@ impl Certifier<'_> {
             WitnessKind::Call => {
                 let ti = cur.tid(c).index();
                 let ok = m < c
-                    && mm.is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
-                    && self.stacks[ti].last() == Some(&(m as u32));
+                    && self
+                        .meta_of(m)
+                        .is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
+                    && self.stacks[ti].last().map(|&p| p as usize) == Some(m);
                 if !ok {
                     self.out.push(Diag::at(
                         Code::CertifyBadEdge,
@@ -290,7 +300,8 @@ impl Certifier<'_> {
                 }
             }
             WitnessKind::Criterion => {
-                if row.consumer != row.member || !self.include_crit.contains(&(m as u32)) {
+                let anchor = u32::try_from(m).is_ok_and(|p| self.include_crit.contains(&p));
+                if row.consumer != row.member || !anchor {
                     self.out.push(Diag::at(
                         Code::CertifyBadEdge,
                         m,
@@ -305,22 +316,48 @@ impl Certifier<'_> {
     }
 
     /// Complement safety for one consumed byte range: every last writer
-    /// must be a slice member or nonexistent.
-    fn check_mem_complement(&mut self, lo: u64, hi: u64, consumed_by: &str) {
-        let mut leaks: Vec<(u64, u64, u32)> = Vec::new();
+    /// must be a slice member or nonexistent. Leaks are reported as the
+    /// shadow visits them.
+    fn check_mem_complement(&mut self, lo: u64, hi: u64, by: ReadBy) {
+        let (result, out) = (self.result, &mut self.out);
         self.mem.for_range(lo, hi, |s, e, wr| {
             if let Some(w) = wr {
-                leaks.push((s, e, w));
+                if !result.contains(TracePos(w as u64)) {
+                    out.push(Diag::at(
+                        Code::CertifyLiveLeak,
+                        w as usize,
+                        format!("non-slice write to {s:#x}..{e:#x} read by {by}"),
+                    ));
+                }
             }
         });
-        for (s, e, w) in leaks {
-            if !self.member(w) {
-                self.out.push(Diag::at(
-                    Code::CertifyLiveLeak,
-                    w as usize,
-                    format!("non-slice write to {s:#x}..{e:#x} read by {consumed_by}"),
-                ));
+    }
+
+    /// Complement safety for the registers `regs` consumed on thread `ti`.
+    fn check_reg_complement(&mut self, ti: usize, regs: RegSet, by: ReadBy) {
+        for r in regs.iter() {
+            if let Some(wr) = self.regs[ti][r.index()] {
+                if !self.result.contains(TracePos(wr as u64)) {
+                    self.out.push(Diag::at(
+                        Code::CertifyLiveLeak,
+                        wr as usize,
+                        format!("non-slice write to {r:?} read by {by}"),
+                    ));
+                }
             }
+        }
+    }
+
+    /// Checks the edges of the next rows in consumer order whose key is
+    /// `key`.
+    fn check_edges_at(&mut self, key: u64, cur: &ColumnCursor<'_>) {
+        while let Some(&(k, i)) = self.by_consumer.get(self.cons_cur) {
+            if k != key {
+                break;
+            }
+            self.cons_cur += 1;
+            let row = self.w.row(i as usize);
+            self.check_edge(&row, cur);
         }
     }
 
@@ -329,104 +366,67 @@ impl Certifier<'_> {
     fn feed(&mut self, cur: &ColumnCursor<'_>) {
         for idx in cur.lo()..cur.hi() {
             let ti = cur.tid(idx).index();
+            // `idx < n < u32::MAX` (see `position_domain`), so this is exact.
+            let pos = idx as u32;
 
             // 0. Capture member/consumer meta the edge checks will need
             // once the window has moved past this position.
-            if self.meta_cur < self.interesting.len()
-                && self.interesting[self.meta_cur] as usize == idx
-            {
-                self.meta_cur += 1;
+            if self.interesting.get(self.meta.len()) == Some(&pos) {
                 let kind = cur.kind(idx);
-                self.meta.insert(
-                    idx as u32,
-                    MemberMeta {
-                        tid: cur.tid(idx),
-                        func: cur.func(idx),
-                        pc: cur.pc(idx),
-                        is_branch: kind.is_branch(),
-                        is_call: matches!(kind, InstrKind::Call { .. }),
-                    },
-                );
+                self.meta.push(MemberMeta {
+                    tid: cur.tid(idx),
+                    func: cur.func(idx),
+                    pc: cur.pc(idx),
+                    is_branch: kind.is_branch(),
+                    is_call: matches!(kind, InstrKind::Call { .. }),
+                });
             }
 
             // 1. Edges whose consumer is the member at `idx`: the member's
             // reads happen before its writes, so check against the shadows
             // as they stand.
-            while self.cons_cur < self.by_consumer.len() {
-                let row = self.w.row(self.by_consumer[self.cons_cur] as usize);
-                if row.consumer.index() != idx || row.consumer_is_criterion {
-                    break;
-                }
-                self.cons_cur += 1;
-                self.check_edge(&row, cur);
-            }
+            self.check_edges_at(consumer_key(idx as u64, false), cur);
 
             // 2. Complement safety for members whose reads entered the live
             // sets: their last writers must be members (or nothing).
-            if self.gen_cur < self.gen_members.len()
-                && self.gen_members[self.gen_cur] as usize == idx
-            {
+            if self.gen_members.get(self.gen_cur) == Some(&pos) {
                 self.gen_cur += 1;
-                let by = format!("slice member {}", TracePos(idx as u64));
+                let by = ReadBy::Member(idx);
                 for &rd in cur.mem_reads(idx) {
-                    self.check_mem_complement(rd.start().raw(), rd.end().raw(), &by);
+                    self.check_mem_complement(rd.start().raw(), rd.end().raw(), by);
                 }
-                for r in cur.reg_reads(idx).iter() {
-                    if let Some(wr) = self.regs[ti][r.index()] {
-                        if !self.member(wr) {
-                            self.out.push(Diag::at(
-                                Code::CertifyLiveLeak,
-                                wr as usize,
-                                format!("non-slice write to {r:?} read by {by}"),
-                            ));
-                        }
-                    }
-                }
+                self.check_reg_complement(ti, cur.reg_reads(idx), by);
             }
 
             // 3. The instruction's own writes become the last writers.
             for &wr in cur.mem_writes(idx) {
-                self.mem.write(wr.start().raw(), wr.end().raw(), idx as u32);
+                self.mem.write(wr.start().raw(), wr.end().raw(), pos);
             }
             for r in cur.reg_writes(idx).iter() {
-                self.regs[ti][r.index()] = Some(idx as u32);
+                self.regs[ti][r.index()] = Some(pos);
             }
 
             // 4. Edges whose consumer is a criterion anchored here: criteria
             // observe state after the anchor executes.
-            while self.cons_cur < self.by_consumer.len() {
-                let row = self.w.row(self.by_consumer[self.cons_cur] as usize);
-                if row.consumer.index() != idx {
-                    break;
-                }
-                self.cons_cur += 1;
-                self.check_edge(&row, cur);
-            }
+            self.check_edges_at(consumer_key(idx as u64, true), cur);
 
             // 5. Complement safety for the criteria themselves.
-            while self.crit_cur < self.items.len() && self.items[self.crit_cur].pos.index() == idx {
-                let c = self.items[self.crit_cur].clone();
+            let items = self.items;
+            while let Some(c) = items.get(self.crit_cur) {
+                if c.pos.index() != idx {
+                    break;
+                }
                 self.crit_cur += 1;
-                let by = format!("the criterion at {}", c.pos);
+                let by = ReadBy::Criterion(c.pos);
                 for &range in &c.mem {
-                    self.check_mem_complement(range.start().raw(), range.end().raw(), &by);
+                    self.check_mem_complement(range.start().raw(), range.end().raw(), by);
                 }
-                for r in c.regs.iter() {
-                    if let Some(wr) = self.regs[ti][r.index()] {
-                        if !self.member(wr) {
-                            self.out.push(Diag::at(
-                                Code::CertifyLiveLeak,
-                                wr as usize,
-                                format!("non-slice write to {r:?} read by {by}"),
-                            ));
-                        }
-                    }
-                }
+                self.check_reg_complement(ti, c.regs, by);
             }
 
             // 6. Dynamic call stack maintenance.
             match cur.kind(idx) {
-                InstrKind::Call { .. } => self.stacks[ti].push(idx as u32),
+                InstrKind::Call { .. } => self.stacks[ti].push(pos),
                 InstrKind::Ret => {
                     self.stacks[ti].pop();
                 }
@@ -448,8 +448,8 @@ fn prepare<'a>(
     criteria: &'a Criteria,
     result: &'a SliceResult,
 ) -> Result<Certifier<'a>, Vec<Diag>> {
+    let n = position_domain(result.considered()).map_err(|d| vec![d])?;
     let mut out = Vec::new();
-    let n = result.considered() as usize;
 
     let Some(w) = result.witness() else {
         out.push(Diag::at_end(
@@ -471,7 +471,11 @@ fn prepare<'a>(
 
     // Row sanity: positions inside the considered prefix, members in the
     // slice bitmap. Defective rows are reported and left out of the sweep.
-    let mut valid: Vec<u32> = Vec::with_capacity(w.len());
+    // Valid rows feed the consumer order, the member list, and the
+    // members whose own reads entered the live sets.
+    let mut by_consumer: Vec<(u64, u32)> = Vec::with_capacity(w.len());
+    let mut members: Vec<u32> = Vec::with_capacity(w.len());
+    let mut gen_members: Vec<u32> = Vec::new();
     for (i, row) in w.rows().enumerate() {
         if row.member.index() >= n || row.consumer.index() >= n {
             out.push(Diag::at_end(
@@ -488,27 +492,24 @@ fn prepare<'a>(
                 format!("witness row for {} which is not in the slice", row.member),
             ));
         } else {
-            valid.push(i as u32);
+            // Both positions are below `n`, so these casts are exact.
+            by_consumer.push((
+                consumer_key(row.consumer.0, row.consumer_is_criterion),
+                i as u32,
+            ));
+            members.push(row.member.0 as u32);
+            if row.genned_reads {
+                gen_members.push(row.member.0 as u32);
+            }
         }
     }
-
-    // Rows grouped by consumer; at one position, member-consumer rows
-    // sort before criterion-consumer rows (checked before / after the
-    // position's own writes respectively).
-    let mut by_consumer = valid.clone();
-    by_consumer.sort_by_key(|&i| {
-        let r = w.row(i as usize);
-        (r.consumer.0, r.consumer_is_criterion, i)
-    });
-    // Members whose own reads entered the live sets. Honest tables are
-    // member-sorted and duplicate-free already; sorting defensively keeps
-    // the sweep cursor correct on mutated tables too.
-    let mut gen_members: Vec<u32> = valid
-        .iter()
-        .map(|&i| w.row(i as usize))
-        .filter(|r| r.genned_reads)
-        .map(|r| r.member.0 as u32)
-        .collect();
+    // Ties on the key keep row order, as the row index is the second
+    // tuple component.
+    by_consumer.sort_unstable();
+    // Honest tables are member-sorted and duplicate-free already; sorting
+    // defensively keeps the sweep cursors correct on mutated tables too.
+    members.sort_unstable();
+    members.dedup();
     gen_members.sort_unstable();
     gen_members.dedup();
     let include_crit: Vec<u32> = criteria
@@ -519,15 +520,7 @@ fn prepare<'a>(
         .collect();
     // Positions the edge checks need static facts for, once the sweep
     // window has moved on: every valid row's member and consumer.
-    let mut interesting: Vec<u32> = valid
-        .iter()
-        .flat_map(|&i| {
-            let r = w.row(i as usize);
-            [r.member.0 as u32, r.consumer.0 as u32]
-        })
-        .collect();
-    interesting.sort_unstable();
-    interesting.dedup();
+    let interesting = merge_dedup(&members, by_consumer.iter().map(|&(k, _)| (k >> 1) as u32));
 
     Ok(Certifier {
         w,
@@ -538,9 +531,9 @@ fn prepare<'a>(
         by_consumer,
         gen_members,
         include_crit,
-        meta: HashMap::with_capacity(interesting.len()),
+        meta: Vec::with_capacity(interesting.len()),
         interesting,
-        mem: MemShadow::default(),
+        mem: LastWriter::default(),
         regs: vec![[None; 16]; 256],
         stacks: vec![Vec::new(); 256],
         cons_cur: 0,
@@ -548,7 +541,6 @@ fn prepare<'a>(
         // Criteria with positions beyond the considered prefix never match
         // an `idx` and are skipped, mirroring the slicer.
         crit_cur: 0,
-        meta_cur: 0,
         out,
     })
 }
@@ -591,5 +583,32 @@ pub fn certify_streamed<R: Read + Seek>(
             reader.stream_range(0, n, |cur| c.feed(cur))?;
             Ok(c.finish())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn position_domain_stops_below_the_sentinel() {
+        assert_eq!(position_domain(0), Ok(0));
+        let last = u32::MAX as u64 - 1;
+        assert_eq!(position_domain(last), Ok(last as usize));
+        for too_long in [u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX] {
+            let d = position_domain(too_long).expect_err("prefix past the u32 domain");
+            assert_eq!(d.code, Code::CertifyMismatch);
+            assert_eq!(d.pos, None);
+        }
+    }
+
+    #[test]
+    fn merge_dedup_merges_sorted_lists() {
+        assert_eq!(
+            merge_dedup(&[1, 3, 3, 7], [0, 3, 4, 9, 9]),
+            vec![0, 1, 3, 4, 7, 9]
+        );
+        assert_eq!(merge_dedup(&[], [2, 2]), vec![2]);
+        assert_eq!(merge_dedup(&[5], []), vec![5]);
     }
 }

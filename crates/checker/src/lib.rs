@@ -38,6 +38,7 @@ pub mod lint;
 pub mod lints;
 pub mod mutate;
 pub mod race;
+mod shadow;
 
 pub use certify::{certify, certify_streamed};
 pub use diag::{render_json, render_text, sort_diags, Code, Diag};

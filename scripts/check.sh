@@ -147,6 +147,16 @@ jq -e '.identical and .totals.speedup > 1
        and .streamed.fused_decode.skipped_stream_bytes > 0' \
     results/BENCH_8.json >/dev/null
 
+echo "== benchmark fault gate (injected faults are caught end to end) =="
+# Each run injects one fault into its first operation (cold_profile: a
+# member dropped from a witnessed slice before certify; out_of_core: a
+# flipped WPTRACE2 payload byte) and exits 0 only if exactly that
+# operation failed and nothing panicked.
+for workload in cold_profile out_of_core; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        --inject-faults >/dev/null
+done
+
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
