@@ -57,7 +57,7 @@ fn usage() -> ! {
          shared flags:\n  \
          flag                  slice  check  certify  convert   meaning\n  \
          --criteria p|s        yes    -      yes      -         pixels (default) or syscalls\n  \
-         --segments K          yes    -      yes      -         parallel slice segments (0 = auto)\n  \
+         --segments K          yes    -      yes      -         0/1 = sequential walk (default), K>1 = segment driver\n  \
          --out-of-core         yes    yes    yes      (output)  stream a WPTRACE2 file from `convert`\n  \
          --json                -      yes    yes      -         machine-readable diagnostics\n\n\
          incremental slicing (`slice` only):\n  \
@@ -488,12 +488,13 @@ fn main() {
                 let s = cache.stats();
                 eprintln!(
                     "cache: {} hits, {} misses ({:.0}% hit rate), \
-                     {} stitch states reused, {} evictions",
+                     {} stitch states reused, {} evictions, {} fallbacks",
                     s.hits,
                     s.misses,
                     s.hit_rate() * 100.0,
                     s.stitch_reused,
-                    s.evictions
+                    s.evictions,
+                    s.fallbacks
                 );
                 if let Some(dir) = &cache_dir {
                     if let Err(e) = cache.save(Path::new(dir)) {

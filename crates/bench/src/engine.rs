@@ -115,38 +115,24 @@ pub struct SessionStore {
     browse_pixel: [OnceLock<Arc<SliceResult>>; 4],
     browse_syscall: [OnceLock<Arc<SliceResult>>; 4],
     bing_load_prefix: OnceLock<Arc<SliceResult>>,
-    slice_segments: usize,
     slice_witness: bool,
     stats: StoreStats,
 }
 
 impl SessionStore {
     /// Creates an empty store; nothing is computed until asked for.
-    /// Slices use automatic segmentation (`SliceOptions::segments == 0`),
-    /// which is right when the caller computes one slice at a time — a
-    /// standalone view binary gives the whole thread budget to the slicer.
+    /// Every slice is the sequential walk (`SliceOptions::segments == 0`);
+    /// the engine's parallelism is across sessions and slices.
     pub fn new() -> Self {
         SessionStore::default()
     }
 
-    /// A store whose slices are capped at `segments` parallel segments
-    /// each. The engine uses this to route the thread budget: when it fans
-    /// many slice jobs across the pool at once (store-level parallelism),
-    /// each individual slice gets `threads / jobs` segments (slice-level
-    /// parallelism) so the two layers multiply to the pool size instead of
-    /// oversubscribing it. Segmented results are identical to sequential
-    /// ones, so this is purely a scheduling choice.
-    pub fn with_slice_segments(segments: usize) -> Self {
-        SessionStore::with_slice_config(segments, false)
-    }
-
-    /// Like [`SessionStore::with_slice_segments`], with dependence-witness
-    /// emission switched on or off for every slice the store computes.
-    /// The engine turns witnesses on so the certify stage can re-check
-    /// each slice; standalone view binaries leave them off.
-    pub fn with_slice_config(segments: usize, witness: bool) -> Self {
+    /// A store with dependence-witness emission switched on or off for
+    /// every slice it computes. The engine turns witnesses on so the
+    /// certify stage can re-check each slice; standalone view binaries
+    /// leave them off.
+    pub fn with_slice_config(witness: bool) -> Self {
         SessionStore {
-            slice_segments: segments,
             slice_witness: witness,
             ..SessionStore::default()
         }
@@ -154,7 +140,6 @@ impl SessionStore {
 
     fn slice_options(&self) -> SliceOptions {
         SliceOptions {
-            segments: self.slice_segments,
             witness: self.slice_witness,
             ..Default::default()
         }
@@ -164,9 +149,9 @@ impl SessionStore {
     /// this store was computed under
     /// ([`SliceOptions::config_fingerprint`]). The `OnceLock` cells are
     /// implicitly keyed by it: results from stores with different
-    /// fingerprints are not interchangeable (except for the documented
-    /// `segments` invariance), and the engine report records it so a
-    /// perf artifact can be traced back to its exact slice config.
+    /// fingerprints are not interchangeable, and the engine report
+    /// records it so a perf artifact can be traced back to its exact
+    /// slice config.
     pub fn slice_fingerprint(&self) -> u64 {
         self.slice_options().config_fingerprint()
     }
@@ -798,19 +783,12 @@ pub fn bing_backslice(store: &SessionStore) -> View {
     View::new("bing_backslice", out, artifacts)
 }
 
-fn config_slice_options(segments: usize) -> SliceOptions {
-    SliceOptions {
-        segments,
-        ..Default::default()
-    }
-}
-
-fn config_pixel_fraction(session: &Session, segments: usize) -> f64 {
+fn config_pixel_fraction(session: &Session) -> f64 {
     let fwd = ForwardPass::build(&session.trace);
-    pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments)).fraction()
+    pixel_slice_with(&session.trace, &fwd, &SliceOptions::default()).fraction()
 }
 
-fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String, u64) {
+fn ablate_deferred_compilation(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::AmazonDesktop;
     crate::progress!("ablation 1/4", "deferred JS compilation...");
     let eager = store.base_session(b);
@@ -829,7 +807,7 @@ fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String
     t.row(vec![
         "deferred to first call (proposed)".to_owned(),
         lazy.trace.len().to_string(),
-        format!("{:.1}%", config_pixel_fraction(&lazy, segments) * 100.0),
+        format!("{:.1}%", config_pixel_fraction(&lazy) * 100.0),
     ]);
     let mut out = String::from("## 1. Deferring JS compilation (paper §VII)\n\n");
     out.push_str(&t.render());
@@ -842,7 +820,7 @@ fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String
     (out, lazy.trace.len() as u64)
 }
 
-fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
+fn ablate_paint_cache(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::Bing; // interaction-heavy: the cache matters most
     crate::progress!("ablation 2/4", "paint cache...");
     let with = store.base_session(b);
@@ -864,7 +842,7 @@ fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
     t.row(vec![
         "disabled".to_owned(),
         without.trace.len().to_string(),
-        format!("{:.1}%", config_pixel_fraction(&without, segments) * 100.0),
+        format!("{:.1}%", config_pixel_fraction(&without) * 100.0),
     ]);
     let mut out = String::from("## 2. Display-item (paint) caching\n\n");
     out.push_str(&t.render());
@@ -875,7 +853,7 @@ fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
     (out, without.trace.len() as u64)
 }
 
-fn ablate_prepaint(segments: usize) -> (String, u64) {
+fn ablate_prepaint() -> (String, u64) {
     crate::progress!("ablation 3/4", "prepaint margin...");
     let b = Benchmark::AmazonDesktop;
     // The three margin configurations are independent sessions; fan them
@@ -894,7 +872,7 @@ fn ablate_prepaint(segments: usize) -> (String, u64) {
             };
             let session = b.run_with_config(cfg);
             let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments));
+            let r = pixel_slice_with(&session.trace, &fwd, &SliceOptions::default());
             let mut raster_total = 0u64;
             let mut raster_slice = 0u64;
             for info in session.trace.threads().iter() {
@@ -937,7 +915,7 @@ fn ablate_prepaint(segments: usize) -> (String, u64) {
     (out, instructions)
 }
 
-fn ablate_backing_stores(segments: usize) -> (String, u64) {
+fn ablate_backing_stores() -> (String, u64) {
     crate::progress!("ablation 4/4", "blind backing stores...");
     // Same fan-out as prepaint: one overlay count per work item, rows
     // assembled in input order afterwards.
@@ -956,7 +934,7 @@ fn ablate_backing_stores(segments: usize) -> (String, u64) {
             let bytes = tab.compositor().backing_store_bytes();
             let session = tab.finish();
             let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments));
+            let r = pixel_slice_with(&session.trace, &fwd, &SliceOptions::default());
             let comp = session
                 .trace
                 .threads()
@@ -999,19 +977,13 @@ fn ablate_backing_stores(segments: usize) -> (String, u64) {
 /// own runs too. Output ordering stays fixed: every parallel collect is
 /// order-preserving and the studies are concatenated 1→4.
 pub fn ablations(store: &SessionStore) -> View {
-    // Route the remaining thread budget to the private slices: with eight
-    // config runs in flight, each slice gets threads/8 segments (min 1),
-    // so session-level and slice-level parallelism compose instead of
-    // oversubscribing the pool.
-    let private_runs = 8;
-    let segments = (rayon::current_num_threads() / private_runs).max(1);
     let parts: Vec<(String, u64)> = [0usize, 1, 2, 3]
         .par_iter()
         .map(|&i| match i {
-            0 => ablate_deferred_compilation(store, segments),
-            1 => ablate_paint_cache(store, segments),
-            2 => ablate_prepaint(segments),
-            _ => ablate_backing_stores(segments),
+            0 => ablate_deferred_compilation(store),
+            1 => ablate_paint_cache(store),
+            2 => ablate_prepaint(),
+            _ => ablate_backing_stores(),
         })
         .collect();
     let mut out = String::from("Ablation studies (see DESIGN.md §6 and paper §VII).\n\n");
@@ -1131,13 +1103,14 @@ impl EngineReport {
         if let Some(c) = &self.incremental {
             out.push_str(&format!(
                 "incremental cache: {} hits, {} misses ({:.0}% hit rate), \
-                 {} stitch states reused, {} evictions, {} bytes held\n",
+                 {} stitch states reused, {} evictions, {} bytes held, {} fallbacks\n",
                 c.hits,
                 c.misses,
                 c.hit_rate() * 100.0,
                 c.stitch_reused,
                 c.evictions,
-                c.bytes_held
+                c.bytes_held,
+                c.fallbacks
             ));
         }
         out
@@ -1182,13 +1155,14 @@ impl EngineReport {
             out.push_str(&format!(
                 ",\n  \"incremental\": {{\"hits\": {}, \"misses\": {}, \
                  \"hit_rate\": {:.4}, \"stitch_reused\": {}, \"evictions\": {}, \
-                 \"bytes_held\": {}}}",
+                 \"bytes_held\": {}, \"fallbacks\": {}}}",
                 c.hits,
                 c.misses,
                 c.hit_rate(),
                 c.stitch_reused,
                 c.evictions,
-                c.bytes_held
+                c.bytes_held,
+                c.fallbacks
             ));
         }
         out.push_str("\n}\n");
@@ -1203,24 +1177,7 @@ impl EngineReport {
 /// sequentially in a fixed order: the artifact bytes are identical no
 /// matter how many threads computed them.
 pub fn run(opts: &EngineOptions) -> EngineReport {
-    // Thread-budget routing between store-level and slice-level
-    // parallelism: the slices stage fans `slice_jobs` concurrent slicing
-    // runs, so each run gets `threads / slice_jobs` segments and the two
-    // layers multiply to (at most) the pool size. With more jobs than
-    // threads this degenerates to 1 segment per slice — exactly the
-    // sequential per-slice path, scheduled across jobs.
-    let slice_jobs = Benchmark::ALL.len()
-        + if opts.table2_criteria_both {
-            Benchmark::ALL.len()
-        } else {
-            0
-        }
-        + 1
-        + if opts.certify_slices { 4 } else { 0 };
-    let store = SessionStore::with_slice_config(
-        (rayon::current_num_threads() / slice_jobs).max(1),
-        opts.certify_slices,
-    );
+    let store = SessionStore::with_slice_config(opts.certify_slices);
     let started = Instant::now();
     let mut stages = Vec::new();
 
@@ -1825,17 +1782,12 @@ mod tests {
     /// configs share a fingerprint, any perturbation changes it.
     #[test]
     fn store_fingerprint_tracks_slice_config() {
-        let a = SessionStore::with_slice_config(4, true);
-        let b = SessionStore::with_slice_config(4, true);
+        let a = SessionStore::with_slice_config(true);
+        let b = SessionStore::with_slice_config(true);
         assert_eq!(a.slice_fingerprint(), b.slice_fingerprint());
         assert_ne!(
             a.slice_fingerprint(),
-            SessionStore::with_slice_config(2, true).slice_fingerprint(),
-            "segment cap must be part of the fingerprint"
-        );
-        assert_ne!(
-            a.slice_fingerprint(),
-            SessionStore::with_slice_config(4, false).slice_fingerprint(),
+            SessionStore::with_slice_config(false).slice_fingerprint(),
             "witness emission must be part of the fingerprint"
         );
         assert_eq!(

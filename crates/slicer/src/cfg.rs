@@ -15,6 +15,8 @@ use wasteprof_trace::{
     ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TraceReader,
 };
 
+use crate::source::RowSource;
+
 /// Index of a node within one function's CFG.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
@@ -201,9 +203,7 @@ impl CfgSet {
     /// frames still open at the end of the trace are closed with an edge to
     /// the virtual exit so every observed node reaches it.
     pub fn build(trace: &Trace) -> Self {
-        let mut b = CfgBuilder::new();
-        b.feed(&trace.columns().cursor(0, trace.len()));
-        b.finish()
+        CfgSet::of(&mut &*trace).expect("resident rows never fail to read")
     }
 
     /// Builds the CFG set from a `WPTRACE2` stream without materializing
@@ -216,9 +216,13 @@ impl CfgSet {
     pub fn build_streamed<R: Read + Seek>(
         reader: &mut TraceReader<R>,
     ) -> Result<Self, TraceIoError> {
+        CfgSet::of(reader)
+    }
+
+    /// Folds the CFGs over every row of `src`.
+    pub(crate) fn of(src: &mut impl RowSource) -> Result<Self, TraceIoError> {
         let mut b = CfgBuilder::new();
-        let n = reader.len();
-        reader.stream_range(0, n, |cur| b.feed(cur))?;
+        src.scan(0, src.len(), |cur| b.feed(cur))?;
         Ok(b.finish())
     }
 

@@ -5,8 +5,9 @@
 //! trace is frame `k`'s trace with a short suffix appended (or a small
 //! window rewritten). From-scratch slicing pays O(trace) per frame even
 //! though the symbolic work for the shared rows is identical. This module
-//! makes the phase-1 summaries of the segment-parallel pass
-//! ([`crate::parallel`]) *reusable across runs*:
+//! is the one driver of the summarize → stitch → replay phases
+//! ([`crate::parallel`]), over a resident trace or a `WPTRACE2` stream
+//! ([`RowSource`]), and it makes their results *reusable across runs*:
 //!
 //! * **Content-addressed summaries.** The trace is cut at fixed
 //!   [`SEGMENT_LEN`] boundaries (64-aligned, stable under append). A
@@ -42,12 +43,18 @@
 //! (see DESIGN.md §11).
 //!
 //! The result is **byte-identical** to [`crate::slice`] at any frame: the
-//! segment-parallel pass already produces identical results for any
-//! segmentation, so correctness reduces to every reused summary being
-//! *valid* for its segment — which the content key + deps validation
-//! guarantee. On any condition the symbolic pass cannot express
-//! (degenerate segmentation, branch write effects, node-budget overflow)
-//! the driver falls back to [`crate::slice`] wholesale.
+//! phases produce identical results for any segmentation, so correctness
+//! reduces to every reused summary being *valid* for its segment — which
+//! the content key + deps validation guarantee. On any condition the
+//! symbolic pass cannot express (a single segment, branch write effects,
+//! node-budget overflow) the driver takes the sequential walk instead and
+//! counts it in [`CacheStats::fallbacks`]. An explicit
+//! [`SliceOptions::segments`] `K > 1` runs this same driver over a K-way
+//! grid with a fresh cache.
+//!
+//! The persisted cache ([`SummaryCache::save`]) carries a whole-file
+//! checksum, and every decoded summary is validated before use, so a torn
+//! or corrupted file loads as an empty cache: a cold start, still exact.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek};
@@ -57,19 +64,20 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use wasteprof_trace::compress::{put_varint, ByteReader};
 use wasteprof_trace::{
-    segment_content_hash, Addr, AddrRange, ColumnCursor, Columns, FuncId, Pc, RegSet, ThreadId,
-    Trace, TraceIoError, TraceReader, SEGMENT_LEN,
+    segment_content_hash, Addr, AddrRange, FuncId, Pc, RegSet, ThreadId, Trace, TraceIoError,
+    TraceReader, SEGMENT_LEN,
 };
 
 use crate::cdg::{ControlDeps, PendingTransfer};
-use crate::cfg::CfgBuilder;
+use crate::cfg::{CfgBuilder, CfgSet};
 use crate::criteria::{Criteria, SlicingCriterion};
 use crate::live::{for_run_chunks, AddrSet};
 use crate::parallel::{
-    assemble, stitch, BoundaryState, Cond, Finalizer, Node, RegCell, Replay, SegFinal, SegFrames,
-    SegSummary, StructuralScan, Summarizer, NTHREADS,
+    assemble, stitch, BoundaryState, Cond, Finalizer, Node, NodeId, RegCell, Replay, SegFinal,
+    SegFrames, SegSummary, StructuralScan, Summarizer, NREGS, NTHREADS,
 };
-use crate::slice::{considered_prefix, ForwardPass, SliceOptions, SliceResult};
+use crate::slice::{considered_prefix, walk, ForwardPass, SliceOptions, SliceResult};
+use crate::source::RowSource;
 
 /// Default byte budget for cached summaries (~256 MiB).
 const DEFAULT_BUDGET: u64 = 256 << 20;
@@ -79,7 +87,9 @@ const STITCH_CAP: usize = 16 * 1024;
 const FWD_CAP: usize = 12;
 /// On-disk summary-cache magic + version.
 const CACHE_MAGIC: &[u8; 8] = b"WPCACHE1";
-const CACHE_VERSION: u64 = 1;
+const CACHE_VERSION: u64 = 2;
+/// Name of the persisted summary file inside a cache directory.
+const CACHE_FILE: &str = "summaries.wpcache";
 
 // ---------------------------------------------------------------------
 // Wide (128-bit) key hashing, mirroring the trace crate's ContentHasher
@@ -99,6 +109,7 @@ const TAG_DEPS: u64 = 0x1C5E_6004;
 const TAG_CHAIN: u64 = 0x1C5E_6005;
 const TAG_STITCH: u64 = 0x1C5E_6006;
 const TAG_FINAL: u64 = 0x1C5E_6007;
+const TAG_FILE: u64 = 0x1C5E_6008;
 
 struct WideHasher {
     lanes: [u64; 2],
@@ -139,6 +150,19 @@ fn chain_link(tag: u64, prev: [u64; 2], link: [u64; 2]) -> [u64; 2] {
     let mut h = WideHasher::new(tag);
     h.wide(prev);
     h.wide(link);
+    h.finish()
+}
+
+/// Checksum of a persisted cache body: its length, then its bytes as
+/// little-endian words (the last one zero-padded).
+fn file_checksum(bytes: &[u8]) -> [u64; 2] {
+    let mut h = WideHasher::new(TAG_FILE);
+    h.word(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        h.word(u64::from_le_bytes(w));
+    }
     h.finish()
 }
 
@@ -294,6 +318,15 @@ impl SegmentHashes {
         SegmentHashes { len, full }
     }
 
+    /// The stored hash of segment `[lo, hi)`, if it is one complete
+    /// [`SEGMENT_LEN`] segment these hashes cover.
+    pub(crate) fn get(&self, lo: usize, hi: usize) -> Option<[u64; 2]> {
+        let aligned = lo.is_multiple_of(SEGMENT_LEN) && hi - lo == SEGMENT_LEN;
+        aligned
+            .then(|| self.full.get(lo / SEGMENT_LEN).copied())
+            .flatten()
+    }
+
     /// Number of trace rows these hashes cover.
     pub fn len(&self) -> usize {
         self.len
@@ -303,47 +336,6 @@ impl SegmentHashes {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// Per-bound segment hashes for a considered prefix of `n` rows: complete
-/// segments come from `hashes` when available, anything else (the final
-/// partial segment, or a truncated view) is hashed ad hoc.
-fn bound_hashes(cols: &Columns, hashes: Option<&SegmentHashes>, bounds: &[usize]) -> Vec<[u64; 2]> {
-    let nsegs = bounds.len() - 1;
-    (0..nsegs)
-        .map(|i| {
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            match hashes {
-                Some(h) if hi - lo == SEGMENT_LEN && hi <= h.full.len() * SEGMENT_LEN => h.full[i],
-                _ => segment_content_hash(cols, lo, hi),
-            }
-        })
-        .collect()
-}
-
-/// Reads per-bound segment hashes straight from a WPTRACE2 footer.
-/// Returns `None` when the chunk layout does not align with the fixed
-/// [`SEGMENT_LEN`] grid (an early flush, e.g. an arena overflow, can
-/// shorten a chunk) — the streamed driver then falls back.
-fn reader_seg_hashes<R: Read + Seek>(
-    reader: &TraceReader<R>,
-    bounds: &[usize],
-) -> Option<Vec<[u64; 2]>> {
-    let nsegs = bounds.len() - 1;
-    if reader.n_chunks() < nsegs {
-        return None;
-    }
-    let mut out = Vec::with_capacity(nsegs);
-    for i in 0..nsegs {
-        let meta = reader.chunk_meta(i);
-        if meta.first_instr != bounds[i] as u64
-            || meta.n_instr != (bounds[i + 1] - bounds[i]) as u64
-        {
-            return None;
-        }
-        out.push(meta.content_hash);
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------
@@ -365,6 +357,10 @@ pub struct CacheStats {
     pub stitch_reused: u64,
     /// Bytes currently held by cached summaries.
     pub bytes_held: u64,
+    /// Runs answered by the sequential walk instead of the segment
+    /// driver (a single-segment trace, branch write effects, or a
+    /// summary outgrowing its node budget).
+    pub fallbacks: u64,
 }
 
 impl CacheStats {
@@ -515,7 +511,8 @@ impl SummaryCache {
         criteria: &Criteria,
         options: &SliceOptions,
     ) -> SliceResult {
-        self.run_resident(trace, None, criteria, options)
+        self.run(&mut &*trace, SEGMENT_LEN, None, None, criteria, options)
+            .expect("resident rows never fail to read")
     }
 
     /// [`slice`](SummaryCache::slice) with precomputed segment hashes,
@@ -534,12 +531,21 @@ impl SummaryCache {
             hashes.len(),
             trace.len()
         );
-        self.run_resident(trace, Some(hashes), criteria, options)
+        self.run(
+            &mut &*trace,
+            SEGMENT_LEN,
+            Some(hashes),
+            None,
+            criteria,
+            options,
+        )
+        .expect("resident rows never fail to read")
     }
 
-    /// Incremental slicing over a `WPTRACE2` stream: segment hashes come
-    /// from the footer (no content scan at all), summaries are computed
-    /// one segment at a time through the reader's bounded window.
+    /// Incremental slicing over a `WPTRACE2` stream: a segment that is
+    /// exactly one disk chunk takes its hash from the footer (the rest
+    /// are hashed as they stream), and summaries are computed one
+    /// segment at a time through the reader's bounded window.
     /// Byte-identical to [`crate::slice_streamed`].
     ///
     /// # Errors
@@ -552,7 +558,7 @@ impl SummaryCache {
         criteria: &Criteria,
         options: &SliceOptions,
     ) -> Result<SliceResult, TraceIoError> {
-        self.run_streamed(reader, criteria, options)
+        self.run(reader, SEGMENT_LEN, None, None, criteria, options)
     }
 
     // -- internals ----------------------------------------------------
@@ -713,103 +719,94 @@ impl SummaryCache {
         Ok(fwd)
     }
 
-    fn run_resident(
+    /// The one summarize → stitch → replay driver. Cuts the considered
+    /// prefix into `grid`-row segments (`grid` a multiple of 64), serves
+    /// every still-valid summary from the cache, summarizes the misses,
+    /// stitches from the trace end through the suffix memo, and replays
+    /// through the finals memo. `forward` is the caller's forward pass;
+    /// `None` builds it here, resuming the CFG fold from a checkpoint
+    /// (checkpoints sit on the [`SEGMENT_LEN`] grid, so only that grid
+    /// may pass `None`). Anything the symbolic pass cannot express takes
+    /// the sequential walk instead, counted in [`CacheStats::fallbacks`].
+    fn run<S: RowSource>(
         &mut self,
-        trace: &Trace,
+        src: &mut S,
+        grid: usize,
         hashes: Option<&SegmentHashes>,
+        forward: Option<&ForwardPass>,
         criteria: &Criteria,
         options: &SliceOptions,
-    ) -> SliceResult {
+    ) -> Result<SliceResult, TraceIoError> {
+        debug_assert!(forward.is_some() || grid == SEGMENT_LEN);
         self.tick += 1;
-        let n = considered_prefix(trace.len(), options);
-        let cols = trace.columns();
-        let nsegs = n.div_ceil(SEGMENT_LEN);
-        if n == 0 || nsegs <= 1 {
-            let fwd = ForwardPass::build(trace);
-            return crate::slice::slice(trace, &fwd, criteria, options);
+        let n = considered_prefix(src.len(), options);
+        let nsegs = n.div_ceil(grid);
+        if nsegs <= 1 {
+            return self.fallback(src, forward, criteria, options);
         }
-        let bounds: Vec<usize> = (0..nsegs).map(|i| i * SEGMENT_LEN).chain([n]).collect();
-        let seg_hashes = bound_hashes(cols, hashes, &bounds);
+        let bounds: Vec<usize> = (0..nsegs).map(|i| i * grid).chain([n]).collect();
+        let seg_hashes = bounds
+            .windows(2)
+            .map(|w| match hashes.and_then(|h| h.get(w[0], w[1])) {
+                Some(h) => Ok(h),
+                None => src.seg_hash(w[0], w[1]),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let chains = prefix_chains(&seg_hashes);
+        let scanned = self.structural(&bounds, &chains, |from, scan| {
+            src.scan(from, n, |cur| scan.feed(cur))
+        })?;
+        let Some(stacks_at) = scanned else {
+            return self.fallback(src, forward, criteria, options);
+        };
 
-        let stacks_at = self
-            .structural(&bounds, &chains, |from, scan| {
-                scan.feed(&cols.cursor(from, n));
-                Ok(())
-            })
-            .expect("resident feed is infallible");
-        let stacks_at = match stacks_at {
-            Some(s) => s,
+        // The checkpointed CFG fold covers whole traces on the cache grid;
+        // a truncating `end` takes the plain full-trace build the
+        // reference path uses (frames never truncate).
+        let built;
+        let forward: &ForwardPass = match forward {
+            Some(f) => f,
             None => {
-                let fwd = ForwardPass::build(trace);
-                return crate::slice::slice(trace, &fwd, criteria, options);
+                built = if n == src.len() {
+                    self.forward(&bounds, &chains, |lo, hi, b| {
+                        src.scan(lo, hi, |cur| b.feed(cur))
+                    })?
+                } else {
+                    Arc::new(ForwardPass::from_cfgs(CfgSet::of(src)?))
+                };
+                &built
             }
         };
-
-        // A truncating `end` would make the checkpointed CFGs diverge
-        // from the full-trace ones the reference path uses; take the
-        // plain build there (frames never truncate).
-        let forward = if n == trace.len() {
-            self.forward(&bounds, &chains, |lo, hi, b| {
-                b.feed(&cols.cursor(lo, hi));
-                Ok(())
-            })
-            .expect("resident feed is infallible")
-        } else {
-            Arc::new(ForwardPass::build(trace))
-        };
-
-        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
         let deps = forward.control_deps();
+        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
 
-        // Phase 1: cache lookups, then parallel summarization of misses.
-        let mut summaries: Vec<Option<SegSummary>> = Vec::with_capacity(nsegs);
-        let mut dhashes: Vec<[u64; 2]> = vec![[0; 2]; nsegs];
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (ki, p) in plan.iter().enumerate() {
-            if let Some(hit) = self.lookup(p, deps) {
-                dhashes[ki] = hit.1;
-                summaries.push(Some(hit.0));
-            } else {
-                summaries.push(None);
-                miss_idx.push(ki);
-            }
-        }
+        // Phase 1: cache lookups, then summarization of the misses.
+        let mut found: Vec<Option<(SegSummary, [u64; 2])>> =
+            plan.iter().map(|p| self.lookup(p, deps)).collect();
+        let misses: Vec<usize> = (0..nsegs).filter(|&i| found[i].is_none()).collect();
+        let ranges: Vec<(usize, usize)> =
+            misses.iter().map(|&i| (plan[i].lo, plan[i].hi)).collect();
         let items = criteria.items();
-        type MissResult = (usize, Option<(SegSummary, Vec<(u32, u32)>)>);
-        let computed: Vec<MissResult> = miss_idx
-            .par_iter()
-            .map(|&ki| {
-                let p = &plan[ki];
-                let cur = cols.cursor(p.lo, p.hi);
-                let mut s =
-                    Summarizer::new(p.lo, p.hi, deps, &items[p.c0..p.c1], stacks_at[ki].clone());
-                s.feed(&cur);
-                (ki, s.finish().map(|sum| (sum, segment_sites(&cur))))
-            })
-            .collect();
-        let mut overflow = false;
-        for (ki, r) in computed {
-            match r {
-                None => overflow = true,
-                Some((sum, sites)) => {
-                    let dh = deps_hash(deps, &sites);
-                    dhashes[ki] = dh;
-                    self.store_miss(plan[ki].key, &sum, sites, dh);
-                    summaries[ki] = Some(sum);
-                }
-            }
+        let computed = src.per_segment(
+            &ranges,
+            |j| {
+                let (i, p) = (misses[j], &plan[misses[j]]);
+                Summarizer::new(p.lo, p.hi, deps, &items[p.c0..p.c1], stacks_at[i].clone())
+            },
+            |s, cur| s.feed(cur),
+            Summarizer::finish,
+        )?;
+        for (&i, summarized) in misses.iter().zip(computed) {
+            // A segment outgrew the node budget.
+            let Some((sum, sites)) = summarized else {
+                return self.fallback(src, Some(forward), criteria, options);
+            };
+            let dh = deps_hash(deps, &sites);
+            self.store_miss(plan[i].key, &sum, sites, dh);
+            found[i] = Some((sum, dh));
         }
-        if overflow {
-            // A segment outgrew the node budget; the reference path
-            // handles this case itself (and stays byte-identical).
-            self.stats.bytes_held = self.bytes_held;
-            return crate::slice::slice(trace, &forward, criteria, options);
-        }
-        let mut summaries: Vec<SegSummary> = summaries
-            .into_iter()
-            .map(|s| s.expect("summarized"))
-            .collect();
+        let (mut summaries, dhashes): (Vec<SegSummary>, Vec<[u64; 2]>) =
+            found.into_iter().map(|f| f.expect("summarized")).unzip();
 
         // Phase 2: stitch from the end with the suffix memo.
         let skeys = self.stitch_keys(&plan, &seg_hashes, &dhashes, options);
@@ -834,167 +831,69 @@ impl SummaryCache {
         } else {
             options.timeline_interval
         };
-        let nfuncs = trace.functions().len();
+        let (nfuncs, tracked) = (src.nfuncs(), options.tracked_thread);
         let fkeys: Vec<[u64; 2]> = (0..nsegs)
-            .map(|i| {
-                final_key(
-                    skeys[i],
-                    replays[i].lo,
-                    n,
-                    interval,
-                    nfuncs,
-                    options.tracked_thread,
-                )
-            })
+            .map(|i| final_key(skeys[i], replays[i].lo, n, interval, nfuncs, tracked))
             .collect();
         let mut finals: Vec<Option<SegFinal>> =
             fkeys.iter().map(|&k| self.final_lookup(k)).collect();
-        let fresh: Vec<(usize, SegFinal)> = finals
+        let fresh: Vec<usize> = (0..nsegs).filter(|&i| finals[i].is_none()).collect();
+        let ranges: Vec<(usize, usize)> = fresh
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_none())
-            .map(|(i, _)| i)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&i| {
-                let r = &replays[i];
-                let mut f = Finalizer::new(r, n, nfuncs, interval, options.tracked_thread);
-                f.feed(&cols.cursor(r.lo, r.hi));
-                (i, f.finish())
-            })
+            .map(|&i| (replays[i].lo, replays[i].hi))
             .collect();
-        for (i, f) in fresh {
+        let replayed = src.per_segment(
+            &ranges,
+            |j| Finalizer::new(&replays[fresh[j]], n, nfuncs, interval, tracked),
+            |f, cur| f.feed(cur),
+            Finalizer::finish,
+        )?;
+        for (&i, f) in fresh.iter().zip(replayed) {
             self.final_store(fkeys[i], f.clone());
             finals[i] = Some(f);
         }
         let finals: Vec<SegFinal> = finals.into_iter().map(|f| f.expect("finalized")).collect();
         let mut result = assemble(n, nfuncs, &replays, finals);
         if options.witness {
-            result.witness = Some(crate::witness::emit(trace, deps, criteria, &result));
-        }
-        self.stats.bytes_held = self.bytes_held;
-        result
-    }
-
-    fn run_streamed<R: Read + Seek>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-        criteria: &Criteria,
-        options: &SliceOptions,
-    ) -> Result<SliceResult, TraceIoError> {
-        self.tick += 1;
-        let n = considered_prefix(reader.len(), options);
-        let nsegs = n.div_ceil(SEGMENT_LEN);
-        let bounds: Vec<usize> = (0..nsegs).map(|i| i * SEGMENT_LEN).chain([n]).collect();
-        // Footer hashes only line up when nothing forced an early chunk
-        // flush and no `end` truncation is in play; otherwise stream the
-        // reference path (which is what the cache accelerates anyway).
-        let aligned = if n == reader.len() && n > 0 && nsegs > 1 {
-            reader_seg_hashes(reader, &bounds)
-        } else {
-            None
-        };
-        let seg_hashes = match aligned {
-            Some(h) => h,
-            None => {
-                let fwd = ForwardPass::build_streamed(reader)?;
-                return crate::slice::slice_streamed(reader, &fwd, criteria, options);
-            }
-        };
-        let chains = prefix_chains(&seg_hashes);
-
-        let stacks_at = self.structural(&bounds, &chains, |from, scan| {
-            reader.stream_range(from, n, |cur| scan.feed(cur))
-        })?;
-        let stacks_at = match stacks_at {
-            Some(s) => s,
-            None => {
-                let fwd = ForwardPass::build_streamed(reader)?;
-                return crate::slice::slice_streamed(reader, &fwd, criteria, options);
-            }
-        };
-        let forward = self.forward(&bounds, &chains, |lo, hi, b| {
-            reader.stream_range(lo, hi, |cur| b.feed(cur))
-        })?;
-        let deps = forward.control_deps();
-
-        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
-        let items = criteria.items();
-        let mut summaries: Vec<SegSummary> = Vec::with_capacity(nsegs);
-        let mut dhashes: Vec<[u64; 2]> = vec![[0; 2]; nsegs];
-        let mut overflow = false;
-        for (ki, p) in plan.iter().enumerate() {
-            if let Some((sum, dh)) = self.lookup(p, deps) {
-                dhashes[ki] = dh;
-                summaries.push(sum);
-                continue;
-            }
-            let mut s =
-                Summarizer::new(p.lo, p.hi, deps, &items[p.c0..p.c1], stacks_at[ki].clone());
-            let mut sites: Vec<(u32, u32)> = Vec::new();
-            reader.stream_range_rev(p.lo, p.hi, |cur| {
-                collect_sites(cur, &mut sites);
-                s.feed(cur)
-            })?;
-            match s.finish() {
-                None => {
-                    overflow = true;
-                    break;
-                }
-                Some(sum) => {
-                    sites.sort_unstable();
-                    sites.dedup();
-                    let dh = deps_hash(deps, &sites);
-                    dhashes[ki] = dh;
-                    self.store_miss(p.key, &sum, sites, dh);
-                    summaries.push(sum);
-                }
-            }
-        }
-        if overflow {
-            self.stats.bytes_held = self.bytes_held;
-            return crate::slice::slice_streamed(reader, &forward, criteria, options);
-        }
-
-        let skeys = self.stitch_keys(&plan, &seg_hashes, &dhashes, options);
-        let mut state = BoundaryState::initial(&stacks_at[nsegs - 1]);
-        let mut replays: Vec<Replay> = Vec::with_capacity(nsegs);
-        for i in (0..nsegs).rev() {
-            let sum = summaries.pop().expect("one summary per segment");
-            let (next, replay) = self.stitch_step(skeys[i], sum, state);
-            state = next;
-            replays.push(replay);
-        }
-        replays.reverse();
-        self.prune_stitch_memo();
-
-        let interval = if options.timeline_interval == 0 {
-            ((n as u64) / 1000).max(1)
-        } else {
-            options.timeline_interval
-        };
-        let nfuncs = reader.functions().len();
-        let mut finals: Vec<SegFinal> = Vec::with_capacity(nsegs);
-        for (i, r) in replays.iter().enumerate() {
-            let fk = final_key(skeys[i], r.lo, n, interval, nfuncs, options.tracked_thread);
-            if let Some(f) = self.final_lookup(fk) {
-                finals.push(f);
-                continue;
-            }
-            let mut f = Finalizer::new(r, n, nfuncs, interval, options.tracked_thread);
-            reader.stream_range_rev(r.lo, r.hi, |cur| f.feed(cur))?;
-            let f = f.finish();
-            self.final_store(fk, f.clone());
-            finals.push(f);
-        }
-        let mut result = assemble(n, nfuncs, &replays, finals);
-        if options.witness {
-            result.witness = Some(crate::witness::emit_streamed(
-                reader, deps, criteria, &result,
-            )?);
+            result.witness = Some(crate::witness::emit(src, deps, criteria, &result)?);
         }
         self.stats.bytes_held = self.bytes_held;
         Ok(result)
+    }
+
+    /// Runs the driver over a `k`-way, 64-aligned grid with the caller's
+    /// forward pass: the engine behind an explicit
+    /// [`SliceOptions::segments`] `> 1`.
+    pub(crate) fn run_k<S: RowSource>(
+        &mut self,
+        src: &mut S,
+        k: usize,
+        forward: &ForwardPass,
+        criteria: &Criteria,
+        options: &SliceOptions,
+    ) -> Result<SliceResult, TraceIoError> {
+        let n = considered_prefix(src.len(), options);
+        let grid = (n.div_ceil(k).div_ceil(64) * 64).max(64);
+        self.run(src, grid, None, Some(forward), criteria, options)
+    }
+
+    /// The sequential walk, for runs the segment driver declines.
+    fn fallback<S: RowSource>(
+        &mut self,
+        src: &mut S,
+        forward: Option<&ForwardPass>,
+        criteria: &Criteria,
+        options: &SliceOptions,
+    ) -> Result<SliceResult, TraceIoError> {
+        self.stats.fallbacks += 1;
+        self.stats.bytes_held = self.bytes_held;
+        match forward {
+            Some(f) => walk(src, f, criteria, options),
+            None => {
+                let f = ForwardPass::from_cfgs(CfgSet::of(src)?);
+                walk(src, &f, criteria, options)
+            }
+        }
     }
 
     fn phase1_plan(
@@ -1031,6 +930,9 @@ impl SummaryCache {
     /// (already validated) deps hash.
     fn lookup(&mut self, p: &SegPlan, deps: &ControlDeps) -> Option<(SegSummary, [u64; 2])> {
         let e = self.entries.get_mut(&p.key)?;
+        if e.summary.hi - e.summary.lo != p.hi - p.lo {
+            return None;
+        }
         let dh = deps_hash(deps, &e.sites);
         if dh != e.deps_hash {
             // Same rows, same criteria — but a newer CFG changed a
@@ -1139,11 +1041,13 @@ impl SummaryCache {
     /// Writes the summary entries to `dir/summaries.wpcache`. Resume
     /// state (forward checkpoints, stitch memo) is session-local and not
     /// persisted: it reconstructs in one warm run, and summaries are
-    /// what dominate recomputation cost.
+    /// what dominate recomputation cost. The file ends in a checksum of
+    /// everything before it, and is written under a temporary name and
+    /// renamed into place, so a reader never sees a torn file.
     ///
     /// # Errors
     ///
-    /// Any I/O error creating or writing the file.
+    /// Any I/O error creating, writing, or renaming the file.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let mut out = Vec::new();
         out.extend_from_slice(CACHE_MAGIC);
@@ -1161,8 +1065,13 @@ impl SummaryCache {
             }
             encode_summary(&mut out, &e.summary);
         }
+        for lane in file_checksum(&out) {
+            out.extend_from_slice(&lane.to_le_bytes());
+        }
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("summaries.wpcache"), out)
+        let tmp = dir.join(format!("{CACHE_FILE}.tmp{}", std::process::id()));
+        std::fs::write(&tmp, out)?;
+        std::fs::rename(&tmp, dir.join(CACHE_FILE))
     }
 
     /// Loads persisted summaries from `dir` into a fresh cache with the
@@ -1171,7 +1080,7 @@ impl SummaryCache {
     /// accelerator, so the worst a bad file can do is cost time.
     pub fn load(dir: &Path, budget: u64) -> SummaryCache {
         let mut cache = SummaryCache::with_budget(budget);
-        let Ok(buf) = std::fs::read(dir.join("summaries.wpcache")) else {
+        let Ok(buf) = std::fs::read(dir.join(CACHE_FILE)) else {
             return cache;
         };
         if cache.load_bytes(&buf).is_err() {
@@ -1181,7 +1090,16 @@ impl SummaryCache {
     }
 
     fn load_bytes(&mut self, buf: &[u8]) -> Result<(), TraceIoError> {
-        let mut r = ByteReader::new(buf);
+        let body_len = buf
+            .len()
+            .checked_sub(16)
+            .ok_or_else(|| TraceIoError::Format("cache file too short".into()))?;
+        let (body, sum) = buf.split_at(body_len);
+        let want = file_checksum(body);
+        if sum[..8] != want[0].to_le_bytes() || sum[8..] != want[1].to_le_bytes() {
+            return Err(TraceIoError::Format("cache checksum mismatch".into()));
+        }
+        let mut r = ByteReader::new(body);
         if r.bytes(8)? != CACHE_MAGIC.as_slice() {
             return Err(TraceIoError::Format("bad cache magic".into()));
         }
@@ -1198,6 +1116,7 @@ impl SummaryCache {
                 sites.push((r.varint()? as u32, r.varint()? as u32));
             }
             let summary = decode_summary(&mut r)?;
+            validate_summary(&summary)?;
             let bytes = summary_bytes(&summary) + sites.len() as u64 * 8 + 96;
             self.insert_entry(
                 key,
@@ -1209,6 +1128,9 @@ impl SummaryCache {
                     last_used: 0,
                 },
             );
+        }
+        if !r.is_exhausted() {
+            return Err(TraceIoError::Format("trailing bytes in cache file".into()));
         }
         Ok(())
     }
@@ -1232,20 +1154,6 @@ fn prefix_chains(seg_hashes: &[[u64; 2]]) -> Vec<[u64; 2]> {
         chains.push(chain_link(TAG_CHAIN, prev, *h));
     }
     chains
-}
-
-fn segment_sites(cur: &ColumnCursor<'_>) -> Vec<(u32, u32)> {
-    let mut sites = Vec::new();
-    collect_sites(cur, &mut sites);
-    sites.sort_unstable();
-    sites.dedup();
-    sites
-}
-
-fn collect_sites(cur: &ColumnCursor<'_>, sites: &mut Vec<(u32, u32)>) {
-    for idx in cur.lo()..cur.hi() {
-        sites.push((cur.func(idx).index() as u32, cur.pc(idx).0));
-    }
 }
 
 /// Resident-size estimate used by the eviction budget; deliberately
@@ -1427,7 +1335,9 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Result<SegSummary, TraceIoError> {
                 let start = r.varint()?;
                 let len = r.varint()?;
                 let len = u32::try_from(len)
-                    .map_err(|_| TraceIoError::Format("range too long".into()))?;
+                    .ok()
+                    .filter(|&l| l > 0 && start.checked_add(l as u64).is_some())
+                    .ok_or_else(|| TraceIoError::Format("bad node range".into()))?;
                 Node::Mem(AddrRange::new(Addr::new(start), len))
             }
             1 => {
@@ -1553,4 +1463,71 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Result<SegSummary, TraceIoError> {
         pend,
         frames,
     })
+}
+
+/// Structural checks on a decoded summary, so that a file which passes
+/// the checksum but was written by a faulty encoder still cannot make
+/// the stitch or replay phases index out of bounds: node ids in range
+/// (an `Or` only names earlier nodes, so one forward pass settles the
+/// graph), a bitmap and member offsets that fit the segment, and table
+/// sizes the phases index by thread and register.
+fn validate_summary(s: &SegSummary) -> Result<(), TraceIoError> {
+    let bad = |what: &str| {
+        Err(TraceIoError::Format(format!(
+            "corrupt cache summary: {what}"
+        )))
+    };
+    let rows =
+        s.hi.checked_sub(s.lo)
+            .filter(|&r| r > 0 && r <= u32::MAX as usize);
+    let Some(rows) = rows else {
+        return bad("segment bounds");
+    };
+    if s.bitmap.len() != rows.div_ceil(64) {
+        return bad("bitmap length");
+    }
+    if s.reg_cells.len() != NTHREADS * NREGS
+        || s.conc_regs.len() != NTHREADS
+        || s.frames.len() != NTHREADS
+    {
+        return bad("register table size");
+    }
+    let nn = s.nodes.len();
+    let node_ok = |id: NodeId| (id as usize) < nn;
+    let cond_ok = |c: &Cond| !matches!(*c, Cond::Node(id) if !node_ok(id));
+    for (i, node) in s.nodes.iter().enumerate() {
+        let ok = match *node {
+            Node::Or(a, b) => (a as usize) < i && (b as usize) < i,
+            Node::Frame(t, slot) => (slot as usize) < s.frames[t.index()].bnd_funcs.len(),
+            Node::Mem(_) | Node::Reg(..) | Node::Pend(_) => true,
+        };
+        if !ok {
+            return bad("condition node");
+        }
+    }
+    let members_ok = s
+        .members
+        .iter()
+        .all(|&(rel, id)| (rel as usize) < rows && node_ok(id));
+    let spans_ok = s
+        .cond_mem
+        .iter()
+        .all(|&(lo, hi, _, id)| lo <= hi && node_ok(id));
+    let cells_ok = s.reg_cells.iter().all(|c| match *c {
+        RegCell::Cond { node, .. } => node_ok(node),
+        _ => true,
+    });
+    if !(members_ok && spans_ok && cells_ok && s.pend.entries().all(|(_, c)| cond_ok(c))) {
+        return bad("node reference");
+    }
+    for fr in &s.frames {
+        let frame_ok = fr.bnd_popped <= fr.bnd_funcs.len()
+            && fr.bnd_marks.len() == fr.bnd_funcs.len()
+            && fr.local.iter().all(|(_, c)| cond_ok(c))
+            && fr.bnd_marks.iter().all(cond_ok);
+        if !frame_ok {
+            return bad("frame table");
+        }
+    }
+    Ok(())
 }

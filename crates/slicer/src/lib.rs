@@ -56,6 +56,7 @@ mod live;
 mod parallel;
 mod postdom;
 mod slice;
+mod source;
 mod strip;
 mod witness;
 

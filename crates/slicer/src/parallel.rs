@@ -31,30 +31,25 @@
 //!    global cumulative timeline. Segment boundaries are 64-aligned so
 //!    finalizers never share a bitmap word.
 //!
+//! This module holds the phases; [`crate::SummaryCache`] is the one
+//! driver that runs them, over a resident trace or a `WPTRACE2` stream.
 //! The result is **byte-identical** to the sequential pass for any
 //! segment count and thread count (the differential tests assert full
-//! [`SliceResult`] equality). `run` returns `None` — falling back to the
-//! sequential reference — in two rare cases: a segment's condition graph
+//! [`SliceResult`] equality). The driver falls back to the sequential
+//! walk — and counts it in [`crate::CacheStats::fallbacks`] — in three
+//! rare cases: a single-segment trace, a segment's condition graph
 //! outgrowing [`MAX_NODES`], or a trace whose branches carry write
 //! effects (the recorder never emits one, but the summaries' "probe
 //! consumes, never kills" symmetry depends on it, so it is checked).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{Read, Seek};
 
-use rayon::prelude::*;
-use wasteprof_trace::{
-    AddrRange, ColumnCursor, Columns, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TraceIoError,
-    TraceReader,
-};
+use wasteprof_trace::{AddrRange, ColumnCursor, FuncId, InstrKind, Pc, RegSet, ThreadId};
 
 use crate::cdg::{ControlDeps, PendKey, PendingTransfer};
-use crate::criteria::{Criteria, SlicingCriterion};
+use crate::criteria::SlicingCriterion;
 use crate::live::{for_run_chunks, AddrSet};
-use crate::slice::{
-    considered_len, considered_prefix, FibBuild, ForwardPass, SliceOptions, SliceResult,
-    TimelinePoint,
-};
+use crate::slice::{FibBuild, SliceResult, TimelinePoint};
 
 /// Thread-slot count, mirroring the sequential pass's dense tables.
 pub(crate) const NTHREADS: usize = 256;
@@ -213,194 +208,7 @@ pub(crate) struct SegFinal {
     pub(crate) timeline: Vec<(usize, TimelinePoint)>,
 }
 
-/// Runs the segment-parallel pass with `k` requested segments. Returns
-/// `None` when the pass declines (degenerate segmentation, branch write
-/// effects, or a summary outgrowing its node budget); the caller falls
-/// back to the sequential walk.
-pub(crate) fn run(
-    trace: &Trace,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    options: &SliceOptions,
-    k: usize,
-) -> Option<SliceResult> {
-    let n = considered_len(trace, options);
-    // 64-aligned boundaries: segment bitmaps never share a word.
-    let seg = n.div_ceil(k).div_ceil(64) * 64;
-    if seg == 0 {
-        return None;
-    }
-    let nsegs = n.div_ceil(seg);
-    if nsegs <= 1 {
-        return None;
-    }
-    let bounds: Vec<usize> = (0..nsegs).map(|i| i * seg).chain([n]).collect();
-    let cols = trace.columns();
-    let (mut stacks, branch_writes) = structural_scan(cols, n, &bounds);
-    if branch_writes {
-        return None;
-    }
-    let init = BoundaryState::initial(&stacks[nsegs - 1]);
-
-    let deps = forward.control_deps();
-    let items = criteria.items();
-    let interval = if options.timeline_interval == 0 {
-        ((n as u64) / 1000).max(1)
-    } else {
-        options.timeline_interval
-    };
-    let tracked = options.tracked_thread;
-
-    struct Job {
-        lo: usize,
-        hi: usize,
-        bnd: Vec<Vec<FuncId>>,
-        ci: (usize, usize),
-    }
-    let jobs: Vec<Job> = (0..nsegs)
-        .map(|ki| {
-            let (lo, hi) = (bounds[ki], bounds[ki + 1]);
-            Job {
-                lo,
-                hi,
-                bnd: std::mem::take(&mut stacks[ki]),
-                ci: (
-                    items.partition_point(|c| c.pos.index() < lo),
-                    items.partition_point(|c| c.pos.index() < hi),
-                ),
-            }
-        })
-        .collect();
-
-    // Phase 1: parallel symbolic summaries.
-    let summaries: Vec<Option<SegSummary>> = jobs
-        .par_iter()
-        .map(|job| {
-            let mut s = Summarizer::new(
-                job.lo,
-                job.hi,
-                deps,
-                &items[job.ci.0..job.ci.1],
-                job.bnd.clone(),
-            );
-            s.feed(&trace.columns().cursor(job.lo, job.hi));
-            s.finish()
-        })
-        .collect();
-    let mut summaries: Vec<SegSummary> = {
-        let mut v = Vec::with_capacity(nsegs);
-        for s in summaries {
-            v.push(s?);
-        }
-        v
-    };
-
-    // Phase 2: sequential stitch from the trace end.
-    let mut state = init;
-    let mut replays: Vec<Replay> = Vec::with_capacity(nsegs);
-    while let Some(sum) = summaries.pop() {
-        let (next, replay) = stitch(sum, &state);
-        state = next;
-        replays.push(replay);
-    }
-    replays.reverse();
-
-    // Phase 3: parallel replay, then a sequential suffix-sum merge.
-    let nfuncs = trace.functions().len();
-    let finals: Vec<SegFinal> = replays
-        .par_iter()
-        .map(|r| {
-            let mut f = Finalizer::new(r, n, nfuncs, interval, tracked);
-            f.feed(&trace.columns().cursor(r.lo, r.hi));
-            f.finish()
-        })
-        .collect();
-
-    Some(assemble(n, nfuncs, &replays, finals))
-}
-
-/// Streamed counterpart of [`run`]: identical summarize → stitch → replay
-/// structure, but segments are scanned one at a time through the reader's
-/// bounded chunk window instead of in parallel over a resident trace. The
-/// result is byte-identical to [`run`] (and hence to the sequential walk);
-/// only the scheduling differs.
-pub(crate) fn run_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    options: &SliceOptions,
-    k: usize,
-) -> Result<Option<SliceResult>, TraceIoError> {
-    let n = considered_prefix(reader.len(), options);
-    let seg = n.div_ceil(k).div_ceil(64) * 64;
-    if seg == 0 {
-        return Ok(None);
-    }
-    let nsegs = n.div_ceil(seg);
-    if nsegs <= 1 {
-        return Ok(None);
-    }
-    let bounds: Vec<usize> = (0..nsegs).map(|i| i * seg).chain([n]).collect();
-    let mut scan = StructuralScan::new(&bounds);
-    reader.stream_range(0, n, |cur| scan.feed(cur))?;
-    let (mut stacks, branch_writes) = scan.finish();
-    if branch_writes {
-        return Ok(None);
-    }
-    let init = BoundaryState::initial(&stacks[nsegs - 1]);
-
-    let deps = forward.control_deps();
-    let items = criteria.items();
-    let interval = if options.timeline_interval == 0 {
-        ((n as u64) / 1000).max(1)
-    } else {
-        options.timeline_interval
-    };
-    let tracked = options.tracked_thread;
-
-    // Phase 1: one segment at a time, each fed backward from disk chunks.
-    let mut summaries: Vec<SegSummary> = Vec::with_capacity(nsegs);
-    for ki in 0..nsegs {
-        let (lo, hi) = (bounds[ki], bounds[ki + 1]);
-        let c0 = items.partition_point(|c| c.pos.index() < lo);
-        let c1 = items.partition_point(|c| c.pos.index() < hi);
-        let mut s = Summarizer::new(
-            lo,
-            hi,
-            deps,
-            &items[c0..c1],
-            std::mem::take(&mut stacks[ki]),
-        );
-        reader.stream_range_rev(lo, hi, |cur| s.feed(cur))?;
-        match s.finish() {
-            Some(sum) => summaries.push(sum),
-            None => return Ok(None),
-        }
-    }
-
-    // Phase 2: sequential stitch from the trace end (no trace access).
-    let mut state = init;
-    let mut replays: Vec<Replay> = Vec::with_capacity(nsegs);
-    while let Some(sum) = summaries.pop() {
-        let (next, replay) = stitch(sum, &state);
-        state = next;
-        replays.push(replay);
-    }
-    replays.reverse();
-
-    // Phase 3: streamed replay, then the shared merge.
-    let nfuncs = reader.functions().len();
-    let mut finals: Vec<SegFinal> = Vec::with_capacity(nsegs);
-    for r in &replays {
-        let mut f = Finalizer::new(r, n, nfuncs, interval, tracked);
-        reader.stream_range_rev(r.lo, r.hi, |cur| f.feed(cur))?;
-        finals.push(f.finish());
-    }
-    Ok(Some(assemble(n, nfuncs, &replays, finals)))
-}
-
-/// The suffix-sum merge shared by [`run`] and [`run_streamed`]: copies the
-/// per-segment bitmaps into place (boundaries are 64-aligned, so words
+/// The suffix-sum merge after replay: copies the per-segment bitmaps into place (boundaries are 64-aligned, so words
 /// never straddle segments), sums the counters, and rebuilds the global
 /// cumulative timeline from per-segment local counts.
 pub(crate) fn assemble(
@@ -480,19 +288,10 @@ pub(crate) struct StructuralScan {
 }
 
 impl StructuralScan {
-    pub(crate) fn new(bounds: &[usize]) -> Self {
-        StructuralScan {
-            bounds: bounds.to_vec(),
-            stacks: vec![Vec::new(); NTHREADS],
-            out: Vec::with_capacity(bounds.len().saturating_sub(1)),
-            bi: 1,
-            branch_writes: false,
-        }
-    }
-
-    /// Resumes a scan from a checkpoint: the open-call stacks and
-    /// branch-write flag captured at `bounds[0]` by a previous scan, so
-    /// only the tail beyond the checkpoint needs feeding.
+    /// Starts a scan at `bounds[0]` from the open-call stacks and
+    /// branch-write flag there (empty and `false` at row 0, or a
+    /// checkpoint captured by a previous scan, so only the tail beyond it
+    /// needs feeding).
     pub(crate) fn resume(bounds: &[usize], stacks: Vec<Vec<FuncId>>, branch_writes: bool) -> Self {
         StructuralScan {
             bounds: bounds.to_vec(),
@@ -535,13 +334,6 @@ impl StructuralScan {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn structural_scan(cols: &Columns, n: usize, bounds: &[usize]) -> (Vec<Vec<Vec<FuncId>>>, bool) {
-    let mut scan = StructuralScan::new(bounds);
-    scan.feed(&cols.cursor(0, n));
-    scan.finish()
-}
-
 /// The symbolic backward scan of one segment (phase 1). Mirrors the
 /// sequential step logic exactly; every consultation of state that the
 /// boundary could influence goes through [`Cond`]s instead of booleans.
@@ -563,6 +355,9 @@ pub(crate) struct Summarizer<'a> {
     frames: Vec<SegFrames>,
     bitmap: Vec<u64>,
     members: Vec<(u32, NodeId)>,
+    /// Static sites `(func, pc)` of every row, the domain the cache
+    /// validates control dependences over.
+    sites: Vec<(u32, u32)>,
     overflow: bool,
     // Scratch buffers, reused across instructions.
     span_scratch: Vec<(u64, (u64, bool, NodeId))>,
@@ -610,6 +405,7 @@ impl<'a> Summarizer<'a> {
             frames,
             bitmap: vec![0; words],
             members: Vec::new(),
+            sites: Vec::with_capacity(hi - lo),
             overflow: false,
             span_scratch: Vec::new(),
             spans_out: Vec::new(),
@@ -956,6 +752,7 @@ impl<'a> Summarizer<'a> {
             let func = cur.func(idx);
             let kind = cur.kind(idx);
             let pc = cur.pc(idx);
+            self.sites.push((func.index() as u32, pc.0));
             let mut jc = Cond::False;
 
             if matches!(kind, InstrKind::Ret) {
@@ -1079,11 +876,15 @@ impl<'a> Summarizer<'a> {
         }
     }
 
-    pub(crate) fn finish(self) -> Option<SegSummary> {
+    /// The summary plus the segment's sorted unique static sites, or
+    /// `None` when the condition graph outgrew [`MAX_NODES`].
+    pub(crate) fn finish(mut self) -> Option<(SegSummary, Vec<(u32, u32)>)> {
         if self.overflow {
             return None;
         }
-        Some(SegSummary {
+        self.sites.sort_unstable();
+        self.sites.dedup();
+        let summary = SegSummary {
             lo: self.lo,
             hi: self.hi,
             nodes: self.nodes,
@@ -1100,7 +901,8 @@ impl<'a> Summarizer<'a> {
             reg_cells: self.reg_cells,
             pend: self.pend,
             frames: self.frames,
-        })
+        };
+        Some((summary, self.sites))
     }
 }
 
@@ -1319,23 +1121,39 @@ impl Finalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::criteria::{pixel_criteria, SlicingCriterion};
-    use crate::slice::slice;
-    use wasteprof_trace::{site, Recorder, Reg, Region, ThreadKind, TracePos};
+    use crate::criteria::{pixel_criteria, Criteria, SlicingCriterion};
+    use crate::slice::{slice, ForwardPass, SliceOptions};
+    use crate::SummaryCache;
+    use wasteprof_trace::{site, Recorder, Reg, Region, ThreadKind, Trace, TracePos};
 
-    /// Asserts that the segment-parallel pass produces a byte-identical
-    /// [`SliceResult`] for several segment counts, calling `run` directly
-    /// so a silent fallback can't mask a divergence.
-    fn check(trace: &Trace, criteria: &Criteria, opts: &SliceOptions) {
+    /// Runs the segment driver at `k` segments through a fresh cache and
+    /// returns its result with the number of sequential fallbacks taken.
+    fn run_k(
+        trace: &Trace,
+        criteria: &Criteria,
+        opts: &SliceOptions,
+        k: usize,
+    ) -> (SliceResult, u64) {
         let fwd = ForwardPass::build(trace);
+        let mut cache = SummaryCache::new();
+        let result = cache
+            .run_k(&mut &*trace, k, &fwd, criteria, opts)
+            .expect("resident rows never fail to read");
+        (result, cache.stats().fallbacks)
+    }
+
+    /// Asserts that the segment driver produces a byte-identical
+    /// [`SliceResult`] for several segment counts, and that it answered
+    /// every run itself: a silent fallback can't mask a divergence.
+    fn check(trace: &Trace, criteria: &Criteria, opts: &SliceOptions) {
         let seq_opts = SliceOptions {
             segments: 1,
             ..opts.clone()
         };
-        let seq = slice(trace, &fwd, criteria, &seq_opts);
+        let seq = slice(trace, &ForwardPass::build(trace), criteria, &seq_opts);
         for k in [2, 3, 8] {
-            let par = run(trace, &fwd, criteria, opts, k)
-                .expect("parallel pass declined on an eligible trace");
+            let (par, fallbacks) = run_k(trace, criteria, opts, k);
+            assert_eq!(fallbacks, 0, "segment count {k} fell back to the walk");
             assert_eq!(par, seq, "segment count {k} diverged from sequential");
         }
     }
@@ -1481,17 +1299,15 @@ mod tests {
         let a = rec.alloc_cell(Region::Heap);
         rec.compute(site!(), &[], &[a.into()]);
         let trace = rec.finish();
-        let fwd = ForwardPass::build(&trace);
-        assert!(
-            run(
-                &trace,
-                &fwd,
-                &Criteria::default(),
-                &SliceOptions::default(),
-                8
-            )
-            .is_none(),
+        let (result, fallbacks) = run_k(&trace, &Criteria::default(), &SliceOptions::default(), 8);
+        assert_eq!(
+            fallbacks, 1,
             "sub-segment traces must fall back to the sequential walk"
+        );
+        let fwd = ForwardPass::build(&trace);
+        assert_eq!(
+            result,
+            slice(&trace, &fwd, &Criteria::default(), &SliceOptions::default())
         );
     }
 }

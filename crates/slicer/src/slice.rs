@@ -20,7 +20,9 @@ use wasteprof_trace::{
 use crate::cdg::ControlDeps;
 use crate::cfg::CfgSet;
 use crate::criteria::Criteria;
+use crate::incremental::SummaryCache;
 use crate::live::LiveState;
+use crate::source::RowSource;
 
 /// The forward pass artifacts: per-function CFGs and the control-dependence
 /// relation, reusable across different slicing criteria (§III-A notes the
@@ -91,10 +93,15 @@ pub struct SliceOptions {
     /// Thread highlighted in the timeline (the paper plots the main
     /// thread).
     pub tracked_thread: ThreadId,
-    /// Number of trace segments processed in parallel (summarize → stitch
-    /// → replay). `0` picks a count from the thread budget and trace
-    /// length; `1` forces the sequential reference walk. Any value
-    /// produces byte-identical results — this only trades wall time.
+    /// Number of trace segments for the summarize → stitch → replay
+    /// driver. `0` and `1` run the sequential reference walk, at any
+    /// thread count; `K > 1` cuts the considered prefix into `K`
+    /// 64-aligned segments and runs them through a fresh
+    /// [`crate::SummaryCache`] (summaries in parallel over a resident
+    /// trace, one at a time over a stream). Any value produces
+    /// byte-identical results. On the canonical sessions `K > 1` is
+    /// several times slower than the walk (EXPERIMENTS.md), so it exists
+    /// for the differential tests and segment-scaling studies.
     pub segments: usize,
     /// Emit a dependence witness ([`crate::Witnesses`]) alongside the
     /// slice: one row per member recording the def→use, CDG, or call edge
@@ -329,34 +336,7 @@ pub fn slice(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> SliceResult {
-    let n = considered_len(trace, options);
-    let k = effective_segments(options.segments, n);
-    let mut result = None;
-    if k > 1 {
-        // The segment-parallel pass bails out (rarely — see
-        // `parallel::run`) when a segment's symbolic state outgrows its
-        // budget; the sequential walk is always the reference fallback.
-        result = crate::parallel::run(trace, forward, criteria, options, k);
-    }
-    let mut result = result.unwrap_or_else(|| {
-        let mut bw = Backward::new(trace.functions().len(), forward, criteria, options, n);
-        let cur = trace.columns().cursor(0, n);
-        bw.prescan(&cur);
-        bw.seal_frames();
-        bw.feed(&cur);
-        bw.finish()
-    });
-    if options.witness {
-        // The witness is a pure function of (trace, criteria, bitmap), so
-        // emitting it after either path keeps it identical at any K.
-        result.witness = Some(crate::witness::emit(
-            trace,
-            forward.control_deps(),
-            criteria,
-            &result,
-        ));
-    }
-    result
+    slice_rows(&mut &*trace, forward, criteria, options).expect("resident rows never fail to read")
 }
 
 /// Runs the backward pass over a `WPTRACE2` stream, never holding more
@@ -374,61 +354,48 @@ pub fn slice_streamed<R: Read + Seek>(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> Result<SliceResult, TraceIoError> {
-    let n = considered_prefix(reader.len(), options);
-    let k = effective_segments(options.segments, n);
-    let mut result = None;
-    if k > 1 {
-        result = crate::parallel::run_streamed(reader, forward, criteria, options, k)?;
+    slice_rows(reader, forward, criteria, options)
+}
+
+fn slice_rows<S: RowSource>(
+    src: &mut S,
+    forward: &ForwardPass,
+    criteria: &Criteria,
+    options: &SliceOptions,
+) -> Result<SliceResult, TraceIoError> {
+    if options.segments > 1 {
+        return SummaryCache::new().run_k(src, options.segments, forward, criteria, options);
     }
-    let mut result = match result {
-        Some(r) => r,
-        None => {
-            let mut bw = Backward::new(reader.functions().len(), forward, criteria, options, n);
-            reader.stream_range(0, n, |cur| bw.prescan(cur))?;
-            bw.seal_frames();
-            reader.stream_range_rev(0, n, |cur| bw.feed(cur))?;
-            bw.finish()
-        }
-    };
+    walk(src, forward, criteria, options)
+}
+
+/// The sequential reference walk (§III-B), plus the witness table when
+/// asked for.
+pub(crate) fn walk<S: RowSource>(
+    src: &mut S,
+    forward: &ForwardPass,
+    criteria: &Criteria,
+    options: &SliceOptions,
+) -> Result<SliceResult, TraceIoError> {
+    let n = considered_prefix(src.len(), options);
+    let mut bw = Backward::new(src.nfuncs(), forward, criteria, options, n);
+    src.scan(0, n, |cur| bw.prescan(cur))?;
+    bw.seal_frames();
+    src.scan_rev(0, n, |cur| bw.feed(cur))?;
+    let mut result = bw.finish();
     if options.witness {
-        result.witness = Some(crate::witness::emit_streamed(
-            reader,
-            forward.control_deps(),
-            criteria,
-            &result,
-        )?);
+        // The witness is a pure function of (trace, criteria, bitmap), so
+        // it is identical whichever path computed the bitmap.
+        let deps = forward.control_deps();
+        result.witness = Some(crate::witness::emit(src, deps, criteria, &result)?);
     }
     Ok(result)
 }
 
-/// Number of instructions the pass will consider (`[0, end]` clamped to
-/// the trace).
-pub(crate) fn considered_len(trace: &Trace, options: &SliceOptions) -> usize {
-    considered_prefix(trace.len(), options)
-}
-
-/// [`considered_len`] for callers that only know the trace length.
+/// Number of instructions a pass over a `len`-row trace considers
+/// (`[0, end]` clamped to the trace).
 pub(crate) fn considered_prefix(len: usize, options: &SliceOptions) -> usize {
     options.end.map(|e| (e.index() + 1).min(len)).unwrap_or(len)
-}
-
-/// Resolves the requested segment count against the trace length and the
-/// thread budget.
-///
-/// Segment boundaries must land on 64-instruction bitmap-word boundaries
-/// (so parallel finalizers never share a word), which caps the useful
-/// count at `ceil(n / 64)`. With `0` (auto) the pass takes one segment
-/// per available worker, but never segments shorter than ~64k
-/// instructions: below that the per-segment symbolic overhead outweighs
-/// the parallel win (see DESIGN.md on K selection).
-pub(crate) fn effective_segments(requested: usize, n: usize) -> usize {
-    const MIN_AUTO_SEGMENT: usize = 64 * 1024;
-    let cap = n.div_ceil(64).max(1);
-    if requested != 0 {
-        return requested.clamp(1, cap);
-    }
-    let threads = rayon::current_num_threads();
-    threads.min(n / MIN_AUTO_SEGMENT).clamp(1, cap)
 }
 
 /// Multiplicative hasher for the pending-branch set's small fixed-size

@@ -22,15 +22,13 @@
 //! sequential paths produce the same bitmap, hence the same witnesses.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Seek};
 
-use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Trace, TraceIoError, TracePos, TraceReader,
-};
+use wasteprof_trace::{ColumnCursor, FuncId, InstrKind, TraceIoError, TracePos};
 
 use crate::cdg::ControlDeps;
 use crate::criteria::Criteria;
 use crate::slice::{FibBuild, SliceResult};
+use crate::source::RowSource;
 
 /// The kind of dependence edge that pulled a member into the slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -533,33 +531,17 @@ impl<'a> Emitter<'a> {
 
 /// Replays the member mutations of the backward walk over the final
 /// bitmap and returns the witness table (one row per member, ascending).
-pub(crate) fn emit(
-    trace: &Trace,
-    deps: &ControlDeps,
-    criteria: &Criteria,
-    result: &SliceResult,
-) -> Witnesses {
-    let mut em = Emitter::new(deps, criteria, result);
-    let cur = trace.columns().cursor(0, em.n);
-    em.prescan(&cur);
-    em.seal_frames();
-    em.feed(&cur);
-    em.finish()
-}
-
-/// [`emit`] driven by streamed chunk cursors: identical rows, bounded
-/// memory.
-pub(crate) fn emit_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
+pub(crate) fn emit<S: RowSource>(
+    src: &mut S,
     deps: &ControlDeps,
     criteria: &Criteria,
     result: &SliceResult,
 ) -> Result<Witnesses, TraceIoError> {
     let mut em = Emitter::new(deps, criteria, result);
     let n = em.n;
-    reader.stream_range(0, n, |cur| em.prescan(cur))?;
+    src.scan(0, n, |cur| em.prescan(cur))?;
     em.seal_frames();
-    reader.stream_range_rev(0, n, |cur| em.feed(cur))?;
+    src.scan_rev(0, n, |cur| em.feed(cur))?;
     Ok(em.finish())
 }
 
@@ -568,7 +550,7 @@ mod tests {
     use super::*;
     use crate::criteria::pixel_criteria;
     use crate::slice::{slice, ForwardPass, SliceOptions};
-    use wasteprof_trace::{site, Recorder, Region, ThreadKind};
+    use wasteprof_trace::{site, Recorder, Region, ThreadKind, Trace};
 
     /// A small multi-thread session with data flow, control dependence,
     /// calls, and dead code.

@@ -18,7 +18,7 @@ use wasteprof_slicer::{
     SlicingCriterion, SummaryCache,
 };
 use wasteprof_trace::{
-    site, write_trace2, Addr, Recorder, Reg, RegSet, Region, ThreadKind, Trace, TracePos,
+    site, Addr, Recorder, Reg, RegSet, Region, ThreadKind, Trace, Trace2Writer, TracePos,
     TraceReader, SEGMENT_LEN,
 };
 
@@ -198,6 +198,29 @@ fn precomputed_hashes_extend_across_frames() {
     assert!(s.hits >= 2, "extended hashes should still hit: {s:?}");
 }
 
+/// Serializes `trace` as WPTRACE2 with `chunk`-row disk chunks.
+fn wptrace2(trace: &Trace, chunk: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = Trace2Writer::with_segment_len(&mut buf, chunk).expect("writer");
+    let cols = trace.columns();
+    for idx in 0..cols.len() {
+        w.push(
+            cols.tid(idx),
+            cols.func(idx),
+            cols.pc(idx),
+            cols.kind(idx),
+            cols.reg_reads(idx),
+            cols.reg_writes(idx),
+            cols.mem_reads(idx),
+            cols.mem_writes(idx),
+        )
+        .expect("push row");
+    }
+    w.finish(trace.functions(), trace.threads(), trace.markers())
+        .expect("finish WPTRACE2");
+    buf
+}
+
 #[test]
 fn streamed_incremental_matches_resident() {
     let (trace, carry) = record_blocks(&[[0, 1], [2, 3]]);
@@ -210,30 +233,35 @@ fn streamed_incremental_matches_resident() {
     let want = cache.slice(&trace, &criteria, &opts);
     assert_eq!(want, reference(&trace, &criteria, &opts));
 
-    let mut buf = Vec::new();
-    write_trace2(&mut buf, &trace).expect("serialize WPTRACE2");
+    // Chunks on the cache grid take their hashes from the footer; 4096-row
+    // chunks do not line up with it, so segment hashes are folded over the
+    // streamed rows instead. Either way the driver answers itself.
+    for chunk in [SEGMENT_LEN, 4096] {
+        let buf = wptrace2(&trace, chunk);
 
-    // Cold streamed run equals the resident result…
-    let mut reader = TraceReader::open(Cursor::new(buf.clone())).expect("open trace");
-    let mut cold = SummaryCache::new();
-    let got = cold
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(got, want);
+        // A cold streamed run equals the resident result…
+        let mut reader = TraceReader::open(Cursor::new(buf.clone())).expect("open trace");
+        let mut cold = SummaryCache::new();
+        let got = cold
+            .slice_streamed(&mut reader, &criteria, &opts)
+            .expect("streamed incremental slice");
+        assert_eq!(got, want, "chunk {chunk}");
+        assert_eq!(cold.stats().fallbacks, 0, "chunk {chunk}");
 
-    // …and a warm streamed run hits the summaries the resident run
-    // produced: footer hashes and in-memory hashes address the same key.
-    cache.reset_stats();
-    let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
-    let again = cache
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(again, want);
-    let s = cache.stats();
-    assert!(
-        s.hits >= 2,
-        "streamed path should share resident keys: {s:?}"
-    );
+        // …and a warm streamed run hits the summaries the resident run
+        // produced: streamed and in-memory hashes address the same key.
+        cache.reset_stats();
+        let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
+        let again = cache
+            .slice_streamed(&mut reader, &criteria, &opts)
+            .expect("streamed incremental slice");
+        assert_eq!(again, want, "chunk {chunk}");
+        let s = cache.stats();
+        assert!(
+            s.hits >= 2,
+            "chunk {chunk}: streamed path should share resident keys: {s:?}"
+        );
+    }
 }
 
 #[test]
@@ -250,4 +278,50 @@ fn tiny_budget_evicts_but_stays_exact() {
         "a one-byte budget must evict: {:?}",
         cache.stats()
     );
+}
+
+/// A persisted cache file with flipped bits or cut short must load as a
+/// cold (or still-valid) cache: the re-slice equals the scratch slice
+/// and nothing panics, whichever byte was damaged.
+#[test]
+fn corrupted_cache_files_load_cold_and_stay_exact() {
+    let (trace, carry) = record_blocks(&[[0, 1]]);
+    let criteria = criteria_for(&trace, carry);
+    let opts = SliceOptions::default();
+    let want = reference(&trace, &criteria, &opts);
+    let dir = std::env::temp_dir().join(format!("wpcache-corrupt-{}", std::process::id()));
+    let mut warm = SummaryCache::new();
+    assert_eq!(warm.slice(&trace, &criteria, &opts), want);
+    warm.save(&dir).expect("persist summary cache");
+    let path = dir.join("summaries.wpcache");
+    let pristine = std::fs::read(&path).expect("read cache file");
+    let len = pristine.len();
+
+    let check = |bytes: &[u8], what: String| {
+        // Unlink first: rewriting a file in place can stall on a
+        // synchronous flush on some filesystems.
+        std::fs::remove_file(&path).expect("remove cache file");
+        std::fs::write(&path, bytes).expect("rewrite cache file");
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            SummaryCache::load(&dir, 64 << 20).slice(&trace, &criteria, &opts)
+        }));
+        let got = got.unwrap_or_else(|_| panic!("{what}: load + slice panicked"));
+        assert_eq!(got, want, "{what}: slice differs from scratch");
+    };
+    for i in 0..64 {
+        let off = (2 * i + 1) * len / 128;
+        let mut bytes = pristine.clone();
+        bytes[off] ^= 1 << (i % 8);
+        check(
+            &bytes,
+            format!("bit {} flipped at byte {off} of {len}", i % 8),
+        );
+    }
+    for cut in [0, 8, 9, len / 3, len / 2, len - 17, len - 16, len - 1] {
+        check(
+            &pristine[..cut],
+            format!("file cut to {cut} of {len} bytes"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -432,6 +432,12 @@ impl<'a> ColumnCursor<'a> {
         (self.lo..self.hi).rev()
     }
 
+    /// The backing store and the physical row range `[lo, hi)` this
+    /// window reads.
+    pub(crate) fn physical(&self) -> (&'a Columns, usize, usize) {
+        (self.cols, self.lo - self.base, self.hi - self.base)
+    }
+
     #[inline]
     fn check(&self, idx: usize) {
         debug_assert!(

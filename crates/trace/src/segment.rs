@@ -34,7 +34,7 @@
 
 use crate::addr::{Addr, AddrRange};
 use crate::analysis::ColumnMask;
-use crate::columns::{Columns, MemOpsRef};
+use crate::columns::{ColumnCursor, Columns, MemOpsRef};
 use crate::compress::{decode_stream, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
 use crate::io::TraceIoError;
 use crate::syscall::Syscall;
@@ -146,6 +146,15 @@ impl ContentHasher {
                 self.word(u64::from(r.len()));
             }
         }
+    }
+
+    /// [`fold`](ContentHasher::fold) over the rows of one cursor window,
+    /// so a digest can accumulate across consecutive streamed chunks:
+    /// folding the windows that tile `[lo, hi)` in order yields the same
+    /// digest as one fold over a resident `[lo, hi)`.
+    pub fn fold_cursor(&mut self, cur: &ColumnCursor<'_>) {
+        let (cols, lo, hi) = cur.physical();
+        self.fold(cols, lo, hi);
     }
 
     /// Finishes the digest. The row count is folded in last so a segment
@@ -813,6 +822,12 @@ mod tests {
         let mut h = ContentHasher::new();
         h.fold(&cols, 64, 100);
         h.fold(&cols, 100, 192);
+        assert_eq!(h.finish(128), segment_content_hash(&cols, 64, 192));
+        // So does a fold over offset cursor windows (how streamed chunks
+        // present themselves).
+        let mut h = ContentHasher::new();
+        h.fold_cursor(&rebased.cursor_at(64, 64, 100));
+        h.fold_cursor(&cols.cursor(100, 192));
         assert_eq!(h.finish(128), segment_content_hash(&cols, 64, 192));
 
         // Every slicer-visible field of a single row perturbs the digest:

@@ -89,6 +89,24 @@ grep -Eq 'cache: [1-9][0-9]* hits, 0 misses' "$smoke_cache/stderr" || {
     cat "$smoke_cache/stderr" >&2
     exit 1
 }
+# A corrupted cache file may only cost time: flip one byte in the middle
+# of the persisted summaries and the cached slice must still equal the
+# scratch slice, from a cold start (the checksum rejects the file).
+python3 - "$smoke_cache/summaries.wpcache" <<'EOF'
+import sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[len(data) // 2] ^= 0xFF
+open(path, "wb").write(data)
+EOF
+diff <(target/release/trace_tool slice "$smoke_trace.f1") \
+    <(target/release/trace_tool slice "$smoke_trace.f1" --incremental --cache-dir "$smoke_cache" \
+        2>"$smoke_cache/stderr")
+grep -q 'cache: 0 hits' "$smoke_cache/stderr" || {
+    echo "a corrupted cache file was served:" >&2
+    cat "$smoke_cache/stderr" >&2
+    exit 1
+}
 
 echo "== static analyzer smoke (all sites, json, exit codes, determinism) =="
 # The ahead-of-time analyzer runs on every canonical site; findings exit
