@@ -488,13 +488,14 @@ fn main() {
                 let s = cache.stats();
                 eprintln!(
                     "cache: {} hits, {} misses ({:.0}% hit rate), \
-                     {} stitch states reused, {} evictions, {} fallbacks",
+                     {} stitch states reused, {} evictions, {} fallbacks, {} rejected",
                     s.hits,
                     s.misses,
                     s.hit_rate() * 100.0,
                     s.stitch_reused,
                     s.evictions,
-                    s.fallbacks
+                    s.fallbacks,
+                    s.rejected_loads
                 );
                 if let Some(dir) = &cache_dir {
                     if let Err(e) = cache.save(Path::new(dir)) {
@@ -840,10 +841,12 @@ fn main() {
             if json {
                 println!("{}", wasteprof_checker::render_json(&diags));
             } else if diags.is_empty() {
+                let witness = result.witness();
                 println!(
-                    "certified: {} slice members, {} witness rows, 0 diagnostics",
+                    "certified: {} slice members, {} witness rows (digest {:016x}), 0 diagnostics",
                     format_count(result.slice_count()),
-                    format_count(result.witness().map_or(0, |w| w.len() as u64))
+                    format_count(witness.map_or(0, |w| w.len() as u64)),
+                    witness.map_or(0, |w| w.digest())
                 );
             } else {
                 print!("{}", wasteprof_checker::render_text(&diags));

@@ -1103,14 +1103,16 @@ impl EngineReport {
         if let Some(c) = &self.incremental {
             out.push_str(&format!(
                 "incremental cache: {} hits, {} misses ({:.0}% hit rate), \
-                 {} stitch states reused, {} evictions, {} bytes held, {} fallbacks\n",
+                 {} stitch states reused, {} evictions, {} bytes held, {} fallbacks, \
+                 {} rejected loads\n",
                 c.hits,
                 c.misses,
                 c.hit_rate() * 100.0,
                 c.stitch_reused,
                 c.evictions,
                 c.bytes_held,
-                c.fallbacks
+                c.fallbacks,
+                c.rejected_loads
             ));
         }
         out
@@ -1155,14 +1157,15 @@ impl EngineReport {
             out.push_str(&format!(
                 ",\n  \"incremental\": {{\"hits\": {}, \"misses\": {}, \
                  \"hit_rate\": {:.4}, \"stitch_reused\": {}, \"evictions\": {}, \
-                 \"bytes_held\": {}, \"fallbacks\": {}}}",
+                 \"bytes_held\": {}, \"fallbacks\": {}, \"rejected_loads\": {}}}",
                 c.hits,
                 c.misses,
                 c.hit_rate(),
                 c.stitch_reused,
                 c.evictions,
                 c.bytes_held,
-                c.fallbacks
+                c.fallbacks,
+                c.rejected_loads
             ));
         }
         out.push_str("\n}\n");

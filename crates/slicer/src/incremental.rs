@@ -361,6 +361,10 @@ pub struct CacheStats {
     /// driver (a single-segment trace, branch write effects, or a
     /// summary outgrowing its node budget).
     pub fallbacks: u64,
+    /// Persisted cache files [`SummaryCache::load`] found but refused (a
+    /// read error, checksum, version or validation failure) and replaced
+    /// with a cold cache. A missing file is not a rejection.
+    pub rejected_loads: u64,
 }
 
 impl CacheStats {
@@ -855,7 +859,14 @@ impl SummaryCache {
         let finals: Vec<SegFinal> = finals.into_iter().map(|f| f.expect("finalized")).collect();
         let mut result = assemble(n, nfuncs, &replays, finals);
         if options.witness {
-            result.witness = Some(crate::witness::emit(src, deps, criteria, &result)?);
+            // One witness producer: the table comes from the witnessed
+            // walk, so it is identical at any K by construction.
+            let walked = walk(src, forward, criteria, options)?;
+            debug_assert_eq!(
+                walked.bitmap, result.bitmap,
+                "driver diverged from the walk"
+            );
+            result.witness = walked.witness;
         }
         self.stats.bytes_held = self.bytes_held;
         Ok(result)
@@ -1077,14 +1088,18 @@ impl SummaryCache {
     /// Loads persisted summaries from `dir` into a fresh cache with the
     /// given budget. Any missing, truncated, or corrupt file yields an
     /// empty cache (a cold start, never an error): the cache is a pure
-    /// accelerator, so the worst a bad file can do is cost time.
+    /// accelerator, so the worst a bad file can do is cost time. A file
+    /// that exists but is refused counts in [`CacheStats::rejected_loads`].
     pub fn load(dir: &Path, budget: u64) -> SummaryCache {
         let mut cache = SummaryCache::with_budget(budget);
-        let Ok(buf) = std::fs::read(dir.join(CACHE_FILE)) else {
-            return cache;
+        let loaded = match std::fs::read(dir.join(CACHE_FILE)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return cache,
+            Err(e) => Err(TraceIoError::Io(e)),
+            Ok(buf) => cache.load_bytes(&buf),
         };
-        if cache.load_bytes(&buf).is_err() {
-            return SummaryCache::with_budget(budget);
+        if loaded.is_err() {
+            cache = SummaryCache::with_budget(budget);
+            cache.stats.rejected_loads = 1;
         }
         cache
     }

@@ -23,7 +23,7 @@ use wasteprof_trace::{AddrRange, RegSet, Region, ThreadId, REGION_SHIFT};
 /// True if `start`'s region holds large buffers (tiles, channels, network
 /// input, framebuffer) and routes to the interval half of the hybrid.
 #[inline]
-fn routes_to_intervals(start: u64) -> bool {
+pub(crate) fn routes_to_intervals(start: u64) -> bool {
     const PIXEL_TILE: u64 = Region::PixelTile.index();
     const CHANNEL: u64 = Region::Channel.index();
     const INPUT: u64 = Region::Input.index();

@@ -10,7 +10,7 @@
 //! condition variables become live. Calls join the slice when any
 //! instruction of their dynamic callee did.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read, Seek};
 
 use wasteprof_trace::{
@@ -23,6 +23,7 @@ use crate::criteria::Criteria;
 use crate::incremental::SummaryCache;
 use crate::live::LiveState;
 use crate::source::RowSource;
+use crate::witness::{Edge, Sink};
 
 /// The forward pass artifacts: per-function CFGs and the control-dependence
 /// relation, reusable across different slicing criteria (§III-A notes the
@@ -336,7 +337,10 @@ pub fn slice(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> SliceResult {
-    slice_rows(&mut &*trace, forward, criteria, options).expect("resident rows never fail to read")
+    slice_rows(&mut &*trace, forward, criteria, options).expect(
+        "resident rows never fail to read, and a witnessed prefix must fit u32 positions \
+         (at most u32::MAX instructions)",
+    )
 }
 
 /// Runs the backward pass over a `WPTRACE2` stream, never holding more
@@ -347,7 +351,10 @@ pub fn slice(
 ///
 /// # Errors
 ///
-/// Any chunk decode or read error from the underlying [`TraceReader`].
+/// Any chunk decode or read error from the underlying [`TraceReader`], or
+/// [`TraceIoError::Format`] when [`SliceOptions::witness`] is on and the
+/// considered prefix exceeds `u32::MAX` instructions (witness rows hold
+/// `u32` positions).
 pub fn slice_streamed<R: Read + Seek>(
     reader: &mut TraceReader<R>,
     forward: &ForwardPass,
@@ -369,8 +376,10 @@ fn slice_rows<S: RowSource>(
     walk(src, forward, criteria, options)
 }
 
-/// The sequential reference walk (§III-B), plus the witness table when
-/// asked for.
+/// The sequential reference walk (§III-B). With
+/// [`SliceOptions::witness`] on it carries a witness [`Sink`] and returns
+/// the table it wrote along the way; every witnessed path takes its table
+/// from here.
 pub(crate) fn walk<S: RowSource>(
     src: &mut S,
     forward: &ForwardPass,
@@ -378,18 +387,12 @@ pub(crate) fn walk<S: RowSource>(
     options: &SliceOptions,
 ) -> Result<SliceResult, TraceIoError> {
     let n = considered_prefix(src.len(), options);
-    let mut bw = Backward::new(src.nfuncs(), forward, criteria, options, n);
+    let sink = options.witness.then(|| Sink::new(n)).transpose()?;
+    let mut bw = Backward::new(src.nfuncs(), forward, criteria, options, n, sink);
     src.scan(0, n, |cur| bw.prescan(cur))?;
     bw.seal_frames();
     src.scan_rev(0, n, |cur| bw.feed(cur))?;
-    let mut result = bw.finish();
-    if options.witness {
-        // The witness is a pure function of (trace, criteria, bitmap), so
-        // it is identical whichever path computed the bitmap.
-        let deps = forward.control_deps();
-        result.witness = Some(crate::witness::emit(src, deps, criteria, &result)?);
-    }
-    Ok(result)
+    Ok(bw.finish())
 }
 
 /// Number of instructions a pass over a `len`-row trace considers
@@ -450,7 +453,9 @@ struct Frame {
     /// whether pending branches of that function may be cleared when the
     /// frame closes — not while a recursive outer invocation is open).
     func: FuncId,
-    any_slice: bool,
+    /// The first member (in walk order) found inside the frame: the
+    /// consumer of its call's witness row.
+    any_slice: Option<u32>,
 }
 
 /// The sequential backward walk, restructured around [`Backward::feed`]
@@ -464,7 +469,9 @@ struct Backward<'a> {
     criteria: Vec<&'a crate::criteria::SlicingCriterion>,
     n: usize,
     live: LiveState,
-    pending: HashSet<(ThreadId, FuncId, Pc), FibBuild>,
+    /// Armed branches, each with the first member (in walk order) that
+    /// armed it: the consumer of the branch's witness row.
+    pending: HashMap<(ThreadId, FuncId, Pc), u32, FibBuild>,
     open: Vec<Vec<FuncId>>,
     frames: Vec<Vec<Frame>>,
     bitmap: Vec<u64>,
@@ -481,6 +488,7 @@ struct Backward<'a> {
     tracked: ThreadId,
     tracked_processed: u64,
     tracked_in_slice: u64,
+    witness: Option<Sink>,
 }
 
 impl<'a> Backward<'a> {
@@ -490,6 +498,7 @@ impl<'a> Backward<'a> {
         criteria: &'a Criteria,
         options: &SliceOptions,
         n: usize,
+        witness: Option<Sink>,
     ) -> Self {
         let interval = if options.timeline_interval == 0 {
             ((n as u64) / 1000).max(1)
@@ -507,7 +516,7 @@ impl<'a> Backward<'a> {
             criteria,
             n,
             live: LiveState::new(256),
-            pending: HashSet::default(),
+            pending: HashMap::default(),
             open: vec![Vec::new(); 256],
             frames: Vec::new(),
             bitmap: vec![0; n.div_ceil(64)],
@@ -521,6 +530,7 @@ impl<'a> Backward<'a> {
             tracked: options.tracked_thread,
             tracked_processed: 0,
             tracked_in_slice: 0,
+            witness,
         }
     }
 
@@ -549,7 +559,7 @@ impl<'a> Backward<'a> {
                 fs.into_iter()
                     .map(|func| Frame {
                         func,
-                        any_slice: false,
+                        any_slice: None,
                     })
                     .collect()
             })
@@ -560,13 +570,18 @@ impl<'a> Backward<'a> {
         self.bitmap[idx / 64] & (1u64 << (idx % 64)) != 0
     }
 
-    fn join_slice(&mut self, idx: usize, tid: ThreadId, func: FuncId, pc: Pc) {
+    /// Adds `idx` to the slice (a no-op for a member), writing its witness
+    /// row from `edge` when witnesses are on.
+    fn join_slice(&mut self, idx: usize, tid: ThreadId, func: FuncId, pc: Pc, edge: Option<Edge>) {
         let word = idx / 64;
         let bit = 1u64 << (idx % 64);
         if self.bitmap[word] & bit != 0 {
             return;
         }
         self.bitmap[word] |= bit;
+        if let (Some(w), Some(e)) = (&mut self.witness, edge) {
+            w.join(idx, e);
+        }
         self.slice_count += 1;
         self.per_thread[tid.index()].0 += 1;
         self.per_func[func.index()].0 += 1;
@@ -582,11 +597,11 @@ impl<'a> Backward<'a> {
         // true controlling branch (an under-approximation, not a safe
         // over-approximation).
         for &bpc in self.deps.controllers(func, pc) {
-            self.pending.insert((tid, func, bpc));
+            self.pending.entry((tid, func, bpc)).or_insert(idx as u32);
         }
         // The dynamic call that led here becomes necessary too.
         if let Some(frame) = self.frames[tid.index()].last_mut() {
-            frame.any_slice = true;
+            frame.any_slice.get_or_insert(idx as u32);
         }
     }
 
@@ -613,7 +628,7 @@ impl<'a> Backward<'a> {
             if matches!(kind, InstrKind::Ret) {
                 self.frames[tid.index()].push(Frame {
                     func,
-                    any_slice: false,
+                    any_slice: None,
                 });
             }
 
@@ -627,21 +642,31 @@ impl<'a> Backward<'a> {
                 }
                 let regs = self.live.regs_mut(tid);
                 *regs = regs.union(c.regs);
+                if let Some(w) = &mut self.witness {
+                    w.criterion(idx, tid.index(), c);
+                }
                 if c.include_instr {
-                    self.join_slice(idx, tid, func, cur.pc(idx));
+                    self.join_slice(idx, tid, func, cur.pc(idx), Some(Edge::criterion(idx)));
                 }
             }
 
             // Pending branch: joins the slice, its condition becomes live.
-            let is_pending_branch =
-                kind.is_branch() && self.pending.remove(&(tid, func, cur.pc(idx)));
-            if is_pending_branch {
-                self.join_slice(idx, tid, func, cur.pc(idx));
+            let armer = if kind.is_branch() {
+                self.pending.remove(&(tid, func, cur.pc(idx)))
+            } else {
+                None
+            };
+            if let Some(armer) = armer {
+                let pc = cur.pc(idx);
+                self.join_slice(idx, tid, func, pc, Some(Edge::control(pc.0 as u64, armer)));
                 for &r in cur.mem_reads(idx) {
                     self.live.mem.insert(r);
                 }
                 let regs = self.live.regs_mut(tid);
                 *regs = regs.union(cur.reg_reads(idx));
+                if let Some(w) = &mut self.witness {
+                    w.gen(idx, tid.index(), cur.reg_reads(idx), cur.mem_reads(idx));
+                }
             } else {
                 // Liveness kill/gen: an instruction writing a live variable
                 // joins the slice.
@@ -650,6 +675,11 @@ impl<'a> Backward<'a> {
                 let writes_live_reg = reg_writes.intersects(self.live.regs(tid));
                 let writes_live_mem = mem_writes.iter().any(|w| self.live.mem.intersects(*w));
                 if writes_live_reg || writes_live_mem {
+                    // The witness edge reads the consumers before the kill.
+                    let edge = self
+                        .witness
+                        .as_ref()
+                        .and_then(|w| w.kill_edge(tid.index(), reg_writes, mem_writes));
                     self.live.regs_mut(tid).subtract(reg_writes);
                     for &w in mem_writes {
                         self.live.mem.remove(w);
@@ -659,19 +689,20 @@ impl<'a> Backward<'a> {
                     }
                     let regs = self.live.regs_mut(tid);
                     *regs = regs.union(cur.reg_reads(idx));
-                    self.join_slice(idx, tid, func, cur.pc(idx));
+                    self.join_slice(idx, tid, func, cur.pc(idx), edge);
+                    if let Some(w) = &mut self.witness {
+                        w.kill(tid.index(), reg_writes, mem_writes);
+                        w.gen(idx, tid.index(), cur.reg_reads(idx), cur.mem_reads(idx));
+                    }
                 }
             }
 
             // A call closes the callee's dynamic frame (backwards): if
             // anything inside was necessary, so is the call.
             if let InstrKind::Call { callee } = kind {
-                let any = self.frames[tid.index()]
-                    .pop()
-                    .map(|f| f.any_slice)
-                    .unwrap_or(false);
-                if any {
-                    self.join_slice(idx, tid, func, cur.pc(idx));
+                let inner = self.frames[tid.index()].pop().and_then(|f| f.any_slice);
+                if let Some(inner) = inner {
+                    self.join_slice(idx, tid, func, cur.pc(idx), Some(Edge::call(inner)));
                 }
                 // If the call itself is in the slice (a criterion or a live
                 // write anchored on it), that membership belongs to the
@@ -679,7 +710,7 @@ impl<'a> Backward<'a> {
                 // was still on top and absorbed the mark.
                 if self.in_slice(idx) {
                     if let Some(frame) = self.frames[tid.index()].last_mut() {
-                        frame.any_slice = true;
+                        frame.any_slice.get_or_insert(idx as u32);
                     }
                 }
                 // This invocation is fully processed: its unconsumed
@@ -689,7 +720,7 @@ impl<'a> Backward<'a> {
                 // With recursion the outer invocation is still open, so
                 // only clear when no live frame runs `callee`.
                 if !self.frames[tid.index()].iter().any(|f| f.func == callee) {
-                    self.pending.retain(|&(t, f, _)| t != tid || f != callee);
+                    self.pending.retain(|&(t, f, _), _| t != tid || f != callee);
                 }
             }
 
@@ -708,6 +739,13 @@ impl<'a> Backward<'a> {
     }
 
     fn finish(self) -> SliceResult {
+        let witness = self.witness.map(Sink::finish);
+        debug_assert!(
+            witness
+                .as_ref()
+                .is_none_or(|w| w.len() as u64 == self.slice_count),
+            "one witness row per member"
+        );
         SliceResult {
             considered: self.n as u64,
             bitmap: self.bitmap,
@@ -727,7 +765,7 @@ impl<'a> Backward<'a> {
                 .map(|(i, &v)| (FuncId(i as u32), v))
                 .collect(),
             timeline: self.timeline,
-            witness: None,
+            witness,
         }
     }
 }

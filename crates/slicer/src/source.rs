@@ -1,10 +1,10 @@
 //! The rows a slicing pass runs over. A resident [`Trace`] hands out
 //! zero-copy cursors, so the segment driver's per-segment passes run in
 //! parallel over it; a `WPTRACE2` [`TraceReader`] streams windows through
-//! its bounded chunk cache, one segment at a time. The sequential walk,
-//! the witness emitter, the CFG fold and the summarize → stitch → replay
-//! driver ([`crate::SummaryCache`]) are each written once against this
-//! trait.
+//! its bounded chunk cache, one segment at a time. The sequential walk
+//! (which also writes the witness table), the CFG fold and the summarize →
+//! stitch → replay driver ([`crate::SummaryCache`]) are each written once
+//! against this trait.
 
 use std::io::{Read, Seek};
 

@@ -1,4 +1,4 @@
-//! Dependence-witness emission: *why* each slice member joined.
+//! Dependence-witness tables: *why* each slice member joined.
 //!
 //! A slice alone is unauditable — the only way to re-check it is to run
 //! the slicer again. A *witness* makes it checkable by an independent
@@ -10,25 +10,25 @@
 //! *forward* sweep (`wasteprof-checker`'s `certify`), which shares no
 //! code with the backward walk that produced them.
 //!
-//! Emission is a backward *replay* over the final slice bitmap. It leans
-//! on a structural invariant of the sequential walk: the live sets are
-//! mutated only by criteria applications, pending-branch probes, and
-//! members' kill/gen — a non-member never changes them (if its writes hit
-//! live state it would have joined). The replay therefore re-runs only
-//! the member mutations, in the exact event order of the sequential walk,
-//! and reads off the consumer of each killed fact. Because it is a pure
-//! function of `(trace, criteria, final bitmap)`, the witness table is
-//! byte-identical at any segment count K — the segment-parallel and
-//! sequential paths produce the same bitmap, hence the same witnesses.
+//! The rows come out of the sequential walk itself: when witnesses are
+//! requested, the walk carries a [`Sink`] next to its live sets. The sink
+//! records the consumer of every live register and byte, and it changes
+//! only where the walk already mutates liveness for a member — criteria,
+//! pending branches, kill/gen and calls — so each row is written at the
+//! moment its member joins, with no second pass over the trace. Live
+//! bytes route by region like the live sets: small-operand regions go to
+//! 4 KiB pages of consumer slots, large-buffer regions to an interval
+//! map, and both report the same fact boundaries. The table is a pure
+//! function of `(trace, criteria)`, and it is byte-identical at any
+//! segment count K because every path takes it from this one walk (the
+//! segment driver re-walks for it and asserts the bitmaps agree).
 
 use std::collections::{BTreeMap, HashMap};
 
-use wasteprof_trace::{ColumnCursor, FuncId, InstrKind, TraceIoError, TracePos};
+use wasteprof_trace::{AddrRange, RegSet, TraceIoError, TracePos};
 
-use crate::cdg::ControlDeps;
-use crate::criteria::Criteria;
-use crate::slice::{FibBuild, SliceResult};
-use crate::source::RowSource;
+use crate::criteria::SlicingCriterion;
+use crate::live::routes_to_intervals;
 
 /// The kind of dependence edge that pulled a member into the slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +95,7 @@ const FLAG_CRIT_CONSUMER: u8 = 1;
 const FLAG_GENNED_READS: u8 = 2;
 
 /// Columnar witness side-table: one row per slice member, sorted by
-/// member position. Stored struct-of-arrays next to [`SliceResult`] so
+/// member position. Stored struct-of-arrays next to [`crate::SliceResult`] so
 /// multi-million-member tables stay compact and comparisons are cheap.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Witnesses {
@@ -146,6 +146,26 @@ impl Witnesses {
         w
     }
 
+    /// A 64-bit FNV-1a digest over the six columns, one column after
+    /// another: two tables are byte-identical exactly when their digests
+    /// agree (up to hash collisions), so runs on different paths can be
+    /// compared by one printed number.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        self.members.iter().for_each(|m| eat(&m.to_le_bytes()));
+        self.kinds.iter().for_each(|&k| eat(&[k as u8]));
+        self.fact_lo.iter().for_each(|v| eat(&v.to_le_bytes()));
+        self.fact_hi.iter().for_each(|v| eat(&v.to_le_bytes()));
+        self.consumers.iter().for_each(|c| eat(&c.to_le_bytes()));
+        eat(&self.flags);
+        h
+    }
+
     fn push(&mut self, r: WitnessRow) {
         self.members.push(r.member.0 as u32);
         self.kinds.push(r.kind);
@@ -163,6 +183,24 @@ impl Witnesses {
     }
 }
 
+/// Checks that a witnessed prefix of `n` instructions fits the table's
+/// `u32` positions. Every position is then below `u32::MAX`, which the
+/// fact map keeps free as its dead-slot marker.
+///
+/// # Errors
+///
+/// [`TraceIoError::Format`] when `n` exceeds `u32::MAX`.
+pub(crate) fn position_bound(n: usize) -> Result<(), TraceIoError> {
+    if n as u64 > u32::MAX as u64 {
+        return Err(TraceIoError::Format(format!(
+            "a witnessed slice covers at most {} instructions (u32 positions), \
+             this prefix has {n}",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// A live fact's consumer: the position that declared the bytes/register
 /// live, and whether that position is a criterion anchor or a member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,15 +209,19 @@ struct Fact {
     crit: bool,
 }
 
-/// Interval map of live bytes → consumer, keyed by interval start.
-/// Same shape as the checker's shadow map: disjoint `[start, end)`
-/// entries, split on demand.
+/// Interval map of live bytes → consumer, keyed by interval start:
+/// disjoint `[start, end)` entries, split on demand and never merged, so
+/// neighbouring facts with the same consumer stay separate entries. The
+/// large-buffer half of [`FactMap`], and the oracle its paged half is
+/// tested against.
 #[derive(Default)]
-struct FactMap {
+struct IntervalFacts {
     map: BTreeMap<u64, (u64, Fact)>,
+    /// Reused buffer for the entry starts an insert or kill replaces.
+    scratch: Vec<u64>,
 }
 
-impl FactMap {
+impl IntervalFacts {
     /// Splits any entry straddling `at` so no interval crosses it.
     fn split_at(&mut self, at: u64) {
         let split = match self.map.range(..at).next_back() {
@@ -192,37 +234,23 @@ impl FactMap {
         }
     }
 
-    /// Marks `[lo, hi)` live with `fact`, overwriting any previous
-    /// consumer of those bytes (last insertion in replay order wins —
-    /// deterministic, and still a valid def→use edge for the certifier).
     fn insert(&mut self, lo: u64, hi: u64, fact: Fact) {
-        if lo >= hi {
-            return;
-        }
-        self.split_at(lo);
-        self.split_at(hi);
-        let doomed: Vec<u64> = self.map.range(lo..hi).map(|(&s, _)| s).collect();
-        for s in doomed {
-            self.map.remove(&s);
-        }
+        self.remove(lo, hi);
         self.map.insert(lo, (hi, fact));
     }
 
-    /// Kills `[lo, hi)` (the bytes are no longer live).
+    /// Drops every entry inside `[lo, hi)`, splitting the ones that
+    /// straddle either end.
     fn remove(&mut self, lo: u64, hi: u64) {
-        if lo >= hi {
-            return;
-        }
         self.split_at(lo);
         self.split_at(hi);
-        let doomed: Vec<u64> = self.map.range(lo..hi).map(|(&s, _)| s).collect();
-        for s in doomed {
-            self.map.remove(&s);
+        self.scratch.clear();
+        self.scratch.extend(self.map.range(lo..hi).map(|(&s, _)| s));
+        for s in &self.scratch {
+            self.map.remove(s);
         }
     }
 
-    /// The lowest-address live sub-interval of `[lo, hi)`, clipped to the
-    /// query, with its consumer.
     fn first_overlap(&self, lo: u64, hi: u64) -> Option<(u64, u64, Fact)> {
         if let Some((_, &(end, fact))) = self.map.range(..=lo).next_back() {
             if end > lo {
@@ -236,317 +264,343 @@ impl FactMap {
     }
 }
 
-/// One dynamic frame of the replay: the running function and the first
-/// (in replay order) member found inside it, if any.
-struct WFrame {
-    func: FuncId,
-    any_slice: Option<u32>,
+const PAGE_SHIFT: u32 = 12;
+const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: u64 = PAGE_BYTES as u64 - 1;
+const PAGE_WORDS: usize = PAGE_BYTES / 64;
+
+/// Consumer slot of a byte that is not live. Positions stay below it
+/// (see [`position_bound`]).
+const DEAD: u32 = u32::MAX;
+
+/// One 4 KiB page of the fact map: a consumer slot per byte, plus a
+/// criterion bit and an entry-start bit per byte. A live byte whose start
+/// bit is clear continues the entry of the byte before it. The bits of a
+/// dead byte mean nothing: an insert rewrites them before the byte is
+/// live again.
+struct FactPage {
+    consumers: [u32; PAGE_BYTES],
+    crit: [u64; PAGE_WORDS],
+    starts: [u64; PAGE_WORDS],
 }
 
-/// The witness replay, restructured around [`Emitter::feed`] so the same
-/// per-instruction step runs over either one in-memory cursor or a
-/// sequence of streamed chunk cursors. Protocol mirrors the backward
-/// walk's: `prescan` forward, `seal_frames`, `feed` backward (last window
-/// first), `finish`.
-struct Emitter<'a> {
-    deps: &'a ControlDeps,
-    result: &'a SliceResult,
-    n: usize,
-    criteria: Vec<&'a crate::criteria::SlicingCriterion>,
-    crit_idx: usize,
-    mem: FactMap,
-    regs: Vec<[Option<Fact>; 16]>,
-    pending: HashMap<(wasteprof_trace::ThreadId, FuncId, wasteprof_trace::Pc), u32, FibBuild>,
-    open: Vec<Vec<FuncId>>,
-    frames: Vec<Vec<WFrame>>,
-    /// Rows in *descending* member order (reversed at the end): each
-    /// member joins exactly at its own index of the backward walk.
-    rows: Vec<WitnessRow>,
-    joined: Vec<u64>,
-    current_row: Option<usize>,
+impl FactPage {
+    fn fresh() -> Box<FactPage> {
+        Box::new(FactPage {
+            consumers: [DEAD; PAGE_BYTES],
+            crit: [0; PAGE_WORDS],
+            starts: [0; PAGE_WORDS],
+        })
+    }
+
+    fn fact(&self, off: usize) -> Fact {
+        Fact {
+            pos: self.consumers[off],
+            crit: self.crit[off / 64] & (1 << (off % 64)) != 0,
+        }
+    }
+
+    /// True if the byte at `off` is live and continues the entry of the
+    /// byte before it.
+    fn continues(&self, off: usize) -> bool {
+        self.consumers[off] != DEAD && self.starts[off / 64] & (1 << (off % 64)) == 0
+    }
 }
 
-impl<'a> Emitter<'a> {
-    fn new(deps: &'a ControlDeps, criteria: &'a Criteria, result: &'a SliceResult) -> Self {
-        let n = result.considered() as usize;
-        assert!(
-            n <= u32::MAX as usize,
-            "witness table uses 32-bit positions"
-        );
-        let criteria: Vec<&crate::criteria::SlicingCriterion> = criteria.items().iter().collect();
-        let mut crit_idx = criteria.len();
-        while crit_idx > 0 && criteria[crit_idx - 1].pos.index() >= n {
-            crit_idx -= 1;
+/// Sets (`on`) or clears bits `[off, off + len)` of a page bitmap.
+fn set_bits(bits: &mut [u64; PAGE_WORDS], off: usize, len: usize, on: bool) {
+    let (mut i, end) = (off, off + len);
+    while i < end {
+        let n = (64 - i % 64).min(end - i);
+        let mask = if n == 64 {
+            !0
+        } else {
+            ((1u64 << n) - 1) << (i % 64)
+        };
+        if on {
+            bits[i / 64] |= mask;
+        } else {
+            bits[i / 64] &= !mask;
         }
-        Emitter {
-            deps,
-            result,
-            n,
-            criteria,
-            crit_idx,
-            mem: FactMap::default(),
-            regs: vec![[None; 16]; 256],
-            pending: HashMap::default(),
-            open: vec![Vec::new(); 256],
-            frames: Vec::new(),
-            rows: Vec::with_capacity(result.slice_count() as usize),
-            joined: vec![0; n.div_ceil(64)],
-            current_row: None,
-        }
+        i += n;
     }
+}
 
-    /// Forward pre-scan over one window: collects calls still open at the
-    /// cut, like the backward walk does.
-    fn prescan(&mut self, cur: &ColumnCursor<'_>) {
-        for idx in cur.lo()..cur.hi() {
-            match cur.kind(idx) {
-                InstrKind::Call { callee } => self.open[cur.tid(idx).index()].push(callee),
-                InstrKind::Ret => {
-                    self.open[cur.tid(idx).index()].pop();
-                }
-                _ => {}
-            }
-        }
-    }
+/// Bytes of `[at, hi)` that lie on `at`'s page.
+#[inline]
+fn on_page(at: u64, hi: u64) -> usize {
+    (PAGE_BYTES as u64 - (at & PAGE_MASK)).min(hi - at) as usize
+}
 
-    /// Converts the pre-scan's open-call stacks into live frames.
-    fn seal_frames(&mut self) {
-        self.frames = std::mem::take(&mut self.open)
-            .into_iter()
-            .map(|fs| {
-                fs.into_iter()
-                    .map(|func| WFrame {
-                        func,
-                        any_slice: None,
-                    })
-                    .collect()
-            })
-            .collect();
-    }
+/// Live bytes → consumer, routed by region like the live sets: code,
+/// heap, stack and debug-ring bytes go to [`FactPage`]s, large-buffer
+/// regions (pixel tiles, channels, input, framebuffer) to
+/// [`IntervalFacts`]. Both halves keep the same entries, so
+/// [`FactMap::first_overlap`] returns what a single interval map would.
+/// Operations route by their first byte (a trace operand never crosses a
+/// region).
+#[derive(Default)]
+struct FactMap {
+    /// Page number (`addr >> PAGE_SHIFT`) to its page. Page numbers come
+    /// from trace files, so the map keeps std's collision-resistant hasher.
+    pages: HashMap<u64, Box<FactPage>>,
+    spans: IntervalFacts,
+}
 
-    fn in_slice(&self, idx: usize) -> bool {
-        self.result.contains(TracePos(idx as u64))
-    }
-
-    /// Records the member's witness row on its first join of this replay,
-    /// then arms its controllers and marks its enclosing frame — the same
-    /// side effects as the sequential walk's `join_slice`, with consumers
-    /// attached (keep-first, deterministic).
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        &mut self,
-        idx: usize,
-        tid: wasteprof_trace::ThreadId,
-        func: FuncId,
-        pc: wasteprof_trace::Pc,
-        kind: WitnessKind,
-        fact_lo: u64,
-        fact_hi: u64,
-        consumer: Fact,
-    ) {
-        let word = idx / 64;
-        let bit = 1u64 << (idx % 64);
-        if self.joined[word] & bit != 0 {
+impl FactMap {
+    /// Marks `[lo, hi)` live with `fact` as one entry, overwriting any
+    /// previous consumer of those bytes.
+    fn insert(&mut self, lo: u64, hi: u64, fact: Fact) {
+        if lo >= hi {
             return;
         }
-        self.joined[word] |= bit;
-        debug_assert!(
-            self.in_slice(idx),
-            "witness replay joined non-member {idx}: live-set invariant broken"
-        );
-        self.current_row = Some(self.rows.len());
-        self.rows.push(WitnessRow {
-            member: TracePos(idx as u64),
-            kind,
-            fact_lo,
-            fact_hi,
-            consumer: TracePos(consumer.pos as u64),
-            consumer_is_criterion: consumer.crit,
-            genned_reads: false,
-        });
-        for &bpc in self.deps.controllers(func, pc) {
-            self.pending.entry((tid, func, bpc)).or_insert(idx as u32);
+        if routes_to_intervals(lo) {
+            return self.spans.insert(lo, hi, fact);
         }
-        if let Some(frame) = self.frames[tid.index()].last_mut() {
-            frame.any_slice.get_or_insert(idx as u32);
+        let mut at = lo;
+        while at < hi {
+            let (off, len) = ((at & PAGE_MASK) as usize, on_page(at, hi));
+            let page = self
+                .pages
+                .entry(at >> PAGE_SHIFT)
+                .or_insert_with(FactPage::fresh);
+            page.consumers[off..off + len].fill(fact.pos);
+            set_bits(&mut page.crit, off, len, fact.crit);
+            set_bits(&mut page.starts, off, len, false);
+            at += len as u64;
+        }
+        self.split_at(lo);
+        self.split_at(hi);
+    }
+
+    /// Kills `[lo, hi)` (the bytes are no longer live). A live byte at
+    /// `hi` needs no start bit: a run never continues past a dead byte.
+    fn remove(&mut self, lo: u64, hi: u64) {
+        if lo >= hi {
+            return;
+        }
+        if routes_to_intervals(lo) {
+            return self.spans.remove(lo, hi);
+        }
+        let mut at = lo;
+        while at < hi {
+            let (off, len) = ((at & PAGE_MASK) as usize, on_page(at, hi));
+            if let Some(page) = self.pages.get_mut(&(at >> PAGE_SHIFT)) {
+                page.consumers[off..off + len].fill(DEAD);
+            }
+            at += len as u64;
         }
     }
 
-    /// Marks the current member's row as having genned its reads.
-    fn mark_genned(&mut self) {
-        if let Some(r) = self.current_row {
-            self.rows[r].genned_reads = true;
+    /// Marks a live byte at `at` as the start of an entry: whatever entry
+    /// held `at - 1` ends there.
+    fn split_at(&mut self, at: u64) {
+        if let Some(page) = self.pages.get_mut(&(at >> PAGE_SHIFT)) {
+            let off = (at & PAGE_MASK) as usize;
+            if page.consumers[off] != DEAD {
+                page.starts[off / 64] |= 1 << (off % 64);
+            }
         }
     }
 
-    /// The backward replay over one window, highest indices first.
-    /// Windows must arrive in reverse trace order and tile `[0, n)`.
-    fn feed(&mut self, cur: &ColumnCursor<'_>) {
-        for idx in cur.rev_indices() {
-            self.current_row = None;
-            let tid = cur.tid(idx);
-            let ti = tid.index();
-            let func = cur.func(idx);
-            let pc = cur.pc(idx);
-            let kind = cur.kind(idx);
-
-            if matches!(kind, InstrKind::Ret) {
-                self.frames[ti].push(WFrame {
-                    func,
-                    any_slice: None,
-                });
+    /// The lowest-address live entry piece of `[lo, hi)`, clipped to the
+    /// query, with its consumer.
+    fn first_overlap(&self, lo: u64, hi: u64) -> Option<(u64, u64, Fact)> {
+        if routes_to_intervals(lo) {
+            return self.spans.first_overlap(lo, hi);
+        }
+        let mut at = lo;
+        let (start, fact) = loop {
+            if at >= hi {
+                return None;
             }
-
-            while self.crit_idx > 0 && self.criteria[self.crit_idx - 1].pos.index() == idx {
-                self.crit_idx -= 1;
-                let c = self.criteria[self.crit_idx];
-                let fact = Fact {
-                    pos: idx as u32,
-                    crit: true,
-                };
-                for &range in &c.mem {
-                    self.mem
-                        .insert(range.start().raw(), range.end().raw(), fact);
-                }
-                for r in c.regs.iter() {
-                    self.regs[ti][r.index()] = Some(fact);
-                }
-                if c.include_instr {
-                    self.join(idx, tid, func, pc, WitnessKind::Criterion, 0, 0, fact);
-                }
-            }
-
-            let pending_armer = if kind.is_branch() {
-                self.pending.remove(&(tid, func, pc))
-            } else {
-                None
-            };
-            if let Some(armer) = pending_armer {
-                self.join(
-                    idx,
-                    tid,
-                    func,
-                    pc,
-                    WitnessKind::Control,
-                    pc.0 as u64,
-                    0,
-                    Fact {
-                        pos: armer,
-                        crit: false,
-                    },
-                );
-                let gen = Fact {
-                    pos: idx as u32,
-                    crit: false,
-                };
-                for &r in cur.mem_reads(idx) {
-                    self.mem.insert(r.start().raw(), r.end().raw(), gen);
-                }
-                for r in cur.reg_reads(idx).iter() {
-                    self.regs[ti][r.index()] = Some(gen);
-                }
-                self.mark_genned();
-            } else if self.in_slice(idx) {
-                // Kill/gen runs only for members: a non-member never writes
-                // live state (it would have joined), so skipping it here
-                // keeps the replay proportional to the slice, not the
-                // trace.
-                let reg_writes = cur.reg_writes(idx);
-                let mem_writes = cur.mem_writes(idx);
-                let reg_fact = reg_writes
+            let (off, len) = ((at & PAGE_MASK) as usize, on_page(at, hi));
+            if let Some(page) = self.pages.get(&(at >> PAGE_SHIFT)) {
+                let live = page.consumers[off..off + len]
                     .iter()
-                    .find_map(|r| self.regs[ti][r.index()].map(|f| (r, f)));
-                let mem_fact = if reg_fact.is_none() {
-                    mem_writes
-                        .iter()
-                        .find_map(|w| self.mem.first_overlap(w.start().raw(), w.end().raw()))
-                } else {
-                    None
-                };
-                if reg_fact.is_some() || mem_fact.is_some() {
-                    if let Some((r, f)) = reg_fact {
-                        self.join(idx, tid, func, pc, WitnessKind::Reg, r.index() as u64, 0, f);
-                    } else if let Some((lo, hi, f)) = mem_fact {
-                        self.join(idx, tid, func, pc, WitnessKind::Mem, lo, hi, f);
-                    }
-                    for r in reg_writes.iter() {
-                        self.regs[ti][r.index()] = None;
-                    }
-                    for &w in mem_writes {
-                        self.mem.remove(w.start().raw(), w.end().raw());
-                    }
-                    let gen = Fact {
-                        pos: idx as u32,
-                        crit: false,
-                    };
-                    for &r in cur.mem_reads(idx) {
-                        self.mem.insert(r.start().raw(), r.end().raw(), gen);
-                    }
-                    for r in cur.reg_reads(idx).iter() {
-                        self.regs[ti][r.index()] = Some(gen);
-                    }
-                    self.mark_genned();
+                    .position(|&c| c != DEAD);
+                if let Some(k) = live {
+                    break (at + k as u64, page.fact(off + k));
                 }
             }
-
-            if let InstrKind::Call { callee } = kind {
-                let closed = self.frames[ti].pop();
-                if let Some(consumer) = closed.and_then(|f| f.any_slice) {
-                    self.join(
-                        idx,
-                        tid,
-                        func,
-                        pc,
-                        WitnessKind::Call,
-                        0,
-                        0,
-                        Fact {
-                            pos: consumer,
-                            crit: false,
-                        },
-                    );
-                }
-                if self.in_slice(idx) {
-                    if let Some(frame) = self.frames[ti].last_mut() {
-                        frame.any_slice.get_or_insert(idx as u32);
-                    }
-                }
-                if !self.frames[ti].iter().any(|f| f.func == callee) {
-                    self.pending.retain(|&(t, f, _), _| t != tid || f != callee);
-                }
+            at += len as u64;
+        };
+        let mut end = start + 1;
+        while end < hi {
+            let (off, len) = ((end & PAGE_MASK) as usize, on_page(end, hi));
+            let Some(page) = self.pages.get(&(end >> PAGE_SHIFT)) else {
+                break;
+            };
+            let run = (off..off + len).take_while(|&o| page.continues(o)).count();
+            end += run as u64;
+            if run < len {
+                break;
             }
         }
-    }
-
-    fn finish(mut self) -> Witnesses {
-        self.rows.reverse();
-        debug_assert_eq!(
-            self.rows.len() as u64,
-            self.result.slice_count(),
-            "witness replay diverged from the slice it explains"
-        );
-        Witnesses::from_rows(self.rows)
+        Some((start, end, fact))
     }
 }
 
-/// Replays the member mutations of the backward walk over the final
-/// bitmap and returns the witness table (one row per member, ascending).
-pub(crate) fn emit<S: RowSource>(
-    src: &mut S,
-    deps: &ControlDeps,
-    criteria: &Criteria,
-    result: &SliceResult,
-) -> Result<Witnesses, TraceIoError> {
-    let mut em = Emitter::new(deps, criteria, result);
-    let n = em.n;
-    src.scan(0, n, |cur| em.prescan(cur))?;
-    em.seal_frames();
-    src.scan_rev(0, n, |cur| em.feed(cur))?;
-    Ok(em.finish())
+/// The edge a member records when it joins: its row minus the member
+/// position and the genned-reads flag.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    kind: WitnessKind,
+    fact_lo: u64,
+    fact_hi: u64,
+    consumer: Fact,
+}
+
+impl Edge {
+    fn new(kind: WitnessKind, fact_lo: u64, pos: u32, crit: bool) -> Edge {
+        Edge {
+            kind,
+            fact_lo,
+            fact_hi: 0,
+            consumer: Fact { pos, crit },
+        }
+    }
+
+    /// The anchor of an `include_instr` criterion at `idx`.
+    pub(crate) fn criterion(idx: usize) -> Edge {
+        Edge::new(WitnessKind::Criterion, 0, idx as u32, true)
+    }
+
+    /// A pending branch at `pc`, armed first by the member at `armer`.
+    pub(crate) fn control(pc: u64, armer: u32) -> Edge {
+        Edge::new(WitnessKind::Control, pc, armer, false)
+    }
+
+    /// A call whose callee frame first saw the member at `inner`.
+    pub(crate) fn call(inner: u32) -> Edge {
+        Edge::new(WitnessKind::Call, 0, inner, false)
+    }
+}
+
+/// The witness half of the sequential walk: the consumer of every live
+/// register and byte, and the rows written so far. The walk calls it only
+/// where it mutates liveness for a member, so the consumers mirror its
+/// live sets exactly.
+pub(crate) struct Sink {
+    facts: FactMap,
+    regs: Vec<[Option<Fact>; 16]>,
+    /// Rows in *descending* member order (reversed by
+    /// [`Sink::finish`]): each member joins at its own index of the walk.
+    rows: Witnesses,
+}
+
+impl Sink {
+    /// A sink for a walk over `n` instructions.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Format`] when `n` does not fit the table's `u32`
+    /// positions ([`position_bound`]).
+    pub(crate) fn new(n: usize) -> Result<Sink, TraceIoError> {
+        position_bound(n)?;
+        Ok(Sink {
+            facts: FactMap::default(),
+            regs: vec![[None; 16]; 256],
+            rows: Witnesses::default(),
+        })
+    }
+
+    /// Seeds the facts of criterion `c`, anchored at `idx` in thread `ti`.
+    pub(crate) fn criterion(&mut self, idx: usize, ti: usize, c: &SlicingCriterion) {
+        let fact = Fact {
+            pos: idx as u32,
+            crit: true,
+        };
+        for range in &c.mem {
+            self.facts
+                .insert(range.start().raw(), range.end().raw(), fact);
+        }
+        for r in c.regs.iter() {
+            self.regs[ti][r.index()] = Some(fact);
+        }
+    }
+
+    /// The edge a kill/gen member records before its writes are killed:
+    /// the first live register it writes, else the first live byte piece.
+    pub(crate) fn kill_edge(&self, ti: usize, regs: RegSet, mem: &[AddrRange]) -> Option<Edge> {
+        if let Some((r, f)) = regs
+            .iter()
+            .find_map(|r| self.regs[ti][r.index()].map(|f| (r, f)))
+        {
+            return Some(Edge::new(WitnessKind::Reg, r.index() as u64, f.pos, f.crit));
+        }
+        let (lo, hi, f) = mem
+            .iter()
+            .find_map(|w| self.facts.first_overlap(w.start().raw(), w.end().raw()))?;
+        Some(Edge {
+            kind: WitnessKind::Mem,
+            fact_lo: lo,
+            fact_hi: hi,
+            consumer: f,
+        })
+    }
+
+    /// Writes the row of the member joining at `idx`.
+    pub(crate) fn join(&mut self, idx: usize, e: Edge) {
+        self.rows.push(WitnessRow {
+            member: TracePos(idx as u64),
+            kind: e.kind,
+            fact_lo: e.fact_lo,
+            fact_hi: e.fact_hi,
+            consumer: TracePos(e.consumer.pos as u64),
+            consumer_is_criterion: e.consumer.crit,
+            genned_reads: false,
+        });
+    }
+
+    /// Kills the member's written registers and bytes in thread `ti`.
+    pub(crate) fn kill(&mut self, ti: usize, regs: RegSet, mem: &[AddrRange]) {
+        for r in regs.iter() {
+            self.regs[ti][r.index()] = None;
+        }
+        for w in mem {
+            self.facts.remove(w.start().raw(), w.end().raw());
+        }
+    }
+
+    /// Makes the reads of the member at `idx` live with it as consumer
+    /// and flags its row as having genned them.
+    pub(crate) fn gen(&mut self, idx: usize, ti: usize, regs: RegSet, mem: &[AddrRange]) {
+        let fact = Fact {
+            pos: idx as u32,
+            crit: false,
+        };
+        for r in mem {
+            self.facts.insert(r.start().raw(), r.end().raw(), fact);
+        }
+        for r in regs.iter() {
+            self.regs[ti][r.index()] = Some(fact);
+        }
+        if self.rows.members.last() == Some(&(idx as u32)) {
+            *self.rows.flags.last_mut().expect("a row per member") |= FLAG_GENNED_READS;
+        }
+    }
+
+    /// The finished table, in ascending member order. The columns keep
+    /// their growth slack: the slack is never touched, so it costs address
+    /// space but no resident memory, while shrinking them reallocates
+    /// mid-run and raised the streamed profile's peak RSS.
+    pub(crate) fn finish(self) -> Witnesses {
+        let mut w = self.rows;
+        w.members.reverse();
+        w.kinds.reverse();
+        w.fact_lo.reverse();
+        w.fact_hi.reverse();
+        w.consumers.reverse();
+        w.flags.reverse();
+        w
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::criteria::pixel_criteria;
     use crate::slice::{slice, ForwardPass, SliceOptions};
@@ -656,6 +710,147 @@ mod tests {
         assert_eq!(m.first_overlap(11, 40), Some((11, 12, f(1))));
         assert_eq!(m.first_overlap(12, 17), None);
         assert_eq!(m.first_overlap(17, 40), Some((17, 30, f(2))));
+    }
+
+    #[test]
+    fn fact_map_keeps_same_consumer_neighbours_apart_across_pages() {
+        let heap = Region::Heap.base().raw();
+        let page = PAGE_BYTES as u64;
+        let f = Fact {
+            pos: 4,
+            crit: false,
+        };
+        let mut m = FactMap::default();
+        m.insert(heap + page - 4, heap + page + 4, f);
+        m.insert(heap + page + 4, heap + page + 12, f);
+        assert_eq!(
+            m.first_overlap(heap, heap + 2 * page),
+            Some((heap + page - 4, heap + page + 4, f))
+        );
+        assert_eq!(
+            m.first_overlap(heap + page + 2, heap + 2 * page),
+            Some((heap + page + 2, heap + page + 4, f))
+        );
+        // A criterion fact over the same bytes is a different consumer.
+        let c = Fact { pos: 4, crit: true };
+        m.insert(heap + page, heap + page + 8, c);
+        assert_eq!(
+            m.first_overlap(heap + page - 2, heap + page + 12),
+            Some((heap + page - 2, heap + page, f))
+        );
+        assert_eq!(
+            m.first_overlap(heap + page, heap + page + 12),
+            Some((heap + page, heap + page + 8, c))
+        );
+        assert_eq!(
+            m.first_overlap(heap + page + 8, heap + page + 12),
+            Some((heap + page + 8, heap + page + 12, f))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The paged half answers every query exactly as the interval map
+        /// it replaces for small-operand regions.
+        #[test]
+        fn paged_fact_map_matches_interval_oracle(
+            ops in proptest::collection::vec(
+                ((0..4u8, 0..3u64, 0..48u64), (0..8u8, 1..24u64, 0..3u32, any::<bool>())),
+                1..64,
+            ),
+        ) {
+            let heap = Region::Heap.base().raw();
+            let mut hybrid = FactMap::default();
+            let mut oracle = IntervalFacts::default();
+            for ((op, page, delta), (size, len, pos, crit)) in ops {
+                // Starts cluster around page boundaries, so short ranges
+                // straddle them; one op in eight spans pages. Few
+                // consumers, so neighbouring entries often share one.
+                let lo = heap + (page * PAGE_BYTES as u64 + delta).saturating_sub(24);
+                let hi = lo + if size == 0 { len * 700 } else { len };
+                let fact = Fact { pos, crit };
+                match op {
+                    0 => {}
+                    1 | 2 => {
+                        hybrid.insert(lo, hi, fact);
+                        oracle.insert(lo, hi, fact);
+                    }
+                    _ => {
+                        hybrid.remove(lo, hi);
+                        oracle.remove(lo, hi);
+                    }
+                }
+                prop_assert_eq!(hybrid.first_overlap(lo, hi), oracle.first_overlap(lo, hi));
+                // Every entry piece of a wider window, one query after
+                // another from the end of the last piece.
+                let (wlo, whi) = (lo.saturating_sub(40).max(heap), hi + 40);
+                let mut at = wlo;
+                while at < whi {
+                    let want = oracle.first_overlap(at, whi);
+                    prop_assert_eq!(hybrid.first_overlap(at, whi), want);
+                    match want {
+                        Some((_, end, _)) => at = end,
+                        None => break,
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn position_bound_stops_at_u32_positions() {
+        assert!(position_bound(0).is_ok());
+        assert!(position_bound(u32::MAX as usize).is_ok());
+        match position_bound(u32::MAX as usize + 1) {
+            Err(TraceIoError::Format(m)) => assert!(m.contains("u32"), "{m}"),
+            other => panic!("a prefix past u32 positions must be refused: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn digest_tracks_every_column() {
+        let row = WitnessRow {
+            member: TracePos(3),
+            kind: WitnessKind::Mem,
+            fact_lo: 100,
+            fact_hi: 164,
+            consumer: TracePos(9),
+            consumer_is_criterion: true,
+            genned_reads: true,
+        };
+        let base = Witnesses::from_rows([row]).digest();
+        assert_eq!(base, Witnesses::from_rows([row]).digest(), "stable");
+        assert_ne!(base, Witnesses::default().digest());
+        let variants = [
+            WitnessRow {
+                member: TracePos(4),
+                ..row
+            },
+            WitnessRow {
+                kind: WitnessKind::Reg,
+                ..row
+            },
+            WitnessRow {
+                fact_lo: 101,
+                ..row
+            },
+            WitnessRow {
+                fact_hi: 165,
+                ..row
+            },
+            WitnessRow {
+                consumer: TracePos(8),
+                ..row
+            },
+            WitnessRow {
+                genned_reads: false,
+                ..row
+            },
+        ];
+        for v in variants {
+            assert_ne!(Witnesses::from_rows([v]).digest(), base, "{v:?}");
+        }
     }
 
     #[test]

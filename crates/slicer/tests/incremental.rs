@@ -281,8 +281,8 @@ fn tiny_budget_evicts_but_stays_exact() {
 }
 
 /// A persisted cache file with flipped bits or cut short must load as a
-/// cold (or still-valid) cache: the re-slice equals the scratch slice
-/// and nothing panics, whichever byte was damaged.
+/// cold cache, counted in `rejected_loads`: the re-slice equals the
+/// scratch slice and nothing panics, whichever byte was damaged.
 #[test]
 fn corrupted_cache_files_load_cold_and_stay_exact() {
     let (trace, carry) = record_blocks(&[[0, 1]]);
@@ -297,17 +297,21 @@ fn corrupted_cache_files_load_cold_and_stay_exact() {
     let pristine = std::fs::read(&path).expect("read cache file");
     let len = pristine.len();
 
-    let check = |bytes: &[u8], what: String| {
+    let check = |bytes: &[u8], what: String, rejected: u64| {
         // Unlink first: rewriting a file in place can stall on a
         // synchronous flush on some filesystems.
         std::fs::remove_file(&path).expect("remove cache file");
         std::fs::write(&path, bytes).expect("rewrite cache file");
         let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SummaryCache::load(&dir, 64 << 20).slice(&trace, &criteria, &opts)
+            let mut cache = SummaryCache::load(&dir, 64 << 20);
+            let loads = cache.stats().rejected_loads;
+            (cache.slice(&trace, &criteria, &opts), loads)
         }));
-        let got = got.unwrap_or_else(|_| panic!("{what}: load + slice panicked"));
+        let (got, loads) = got.unwrap_or_else(|_| panic!("{what}: load + slice panicked"));
         assert_eq!(got, want, "{what}: slice differs from scratch");
+        assert_eq!(loads, rejected, "{what}: rejected_loads");
     };
+    check(&pristine, "intact file".to_owned(), 0);
     for i in 0..64 {
         let off = (2 * i + 1) * len / 128;
         let mut bytes = pristine.clone();
@@ -315,12 +319,14 @@ fn corrupted_cache_files_load_cold_and_stay_exact() {
         check(
             &bytes,
             format!("bit {} flipped at byte {off} of {len}", i % 8),
+            1,
         );
     }
     for cut in [0, 8, 9, len / 3, len / 2, len - 17, len - 16, len - 1] {
         check(
             &pristine[..cut],
             format!("file cut to {cut} of {len} bytes"),
+            1,
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -59,6 +59,17 @@ diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
 target/release/trace_tool check "$smoke_trace.2" --out-of-core
 target/release/trace_tool certify "$smoke_trace.2" --segments 8 --out-of-core
 
+echo "== witness identity (certify digest: in memory, --segments 8, --out-of-core) =="
+# The "certified:" line carries the witness table's digest, so the three
+# paths must print the same line for each criteria set.
+for criteria in pixels syscalls; do
+    want=$(target/release/trace_tool certify "$smoke_trace" --criteria "$criteria")
+    diff <(echo "$want") \
+        <(target/release/trace_tool certify "$smoke_trace" --criteria "$criteria" --segments 8)
+    diff <(echo "$want") \
+        <(target/release/trace_tool certify "$smoke_trace.2" --criteria "$criteria" --out-of-core)
+done
+
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
 # The full fused pass and every subset must agree between the in-memory
 # and selectively-decoded out-of-core paths; the clean session exits 0.
@@ -102,8 +113,8 @@ EOF
 diff <(target/release/trace_tool slice "$smoke_trace.f1") \
     <(target/release/trace_tool slice "$smoke_trace.f1" --incremental --cache-dir "$smoke_cache" \
         2>"$smoke_cache/stderr")
-grep -q 'cache: 0 hits' "$smoke_cache/stderr" || {
-    echo "a corrupted cache file was served:" >&2
+grep -q 'cache: 0 hits' "$smoke_cache/stderr" && grep -q ', 1 rejected' "$smoke_cache/stderr" || {
+    echo "a corrupted cache file was served or its rejection went unreported:" >&2
     cat "$smoke_cache/stderr" >&2
     exit 1
 }
