@@ -1,8 +1,6 @@
 //! Shared experiment driver: run a benchmark, slice its trace, and shape
 //! the results the way the paper's tables present them.
 
-use std::sync::Arc;
-
 use wasteprof_browser::Session;
 use wasteprof_slicer::{
     pixel_criteria, slice, syscall_criteria, ForwardPass, SliceOptions, SliceResult,
@@ -60,10 +58,8 @@ pub fn syscall_slice_with(
 /// Runs a benchmark and slices its trace with pixel criteria (and syscall
 /// criteria when `with_syscall`).
 ///
-/// Every call recomputes from scratch. When several experiments need the
-/// same benchmark, share the work instead: [`SharedBenchmarkRun`] (served
-/// memoized by `wasteprof-bench`'s session store) holds the same artifacts
-/// behind `Arc` so one computation feeds them all.
+/// Every call recomputes from scratch; `wasteprof-bench`'s session store
+/// memoizes the same artifacts when several experiments share them.
 pub fn run_benchmark(benchmark: Benchmark, with_syscall: bool) -> BenchmarkRun {
     let session = benchmark.run();
     let forward = ForwardPass::build(&session.trace);
@@ -75,45 +71,6 @@ pub fn run_benchmark(benchmark: Benchmark, with_syscall: bool) -> BenchmarkRun {
         forward,
         pixel,
         syscall,
-    }
-}
-
-/// The cached counterpart of [`BenchmarkRun`]: the same artifacts behind
-/// `Arc`, so a memoizing store can hand the one computed instance to every
-/// experiment (and every thread) that asks.
-#[derive(Debug, Clone)]
-pub struct SharedBenchmarkRun {
-    /// Which benchmark ran.
-    pub benchmark: Benchmark,
-    /// The session (trace + measurements).
-    pub session: Arc<Session>,
-    /// The forward pass (reusable across criteria).
-    pub forward: Arc<ForwardPass>,
-    /// Pixel-criteria slice.
-    pub pixel: Arc<SliceResult>,
-    /// Syscall-criteria slice, when requested.
-    pub syscall: Option<Arc<SliceResult>>,
-}
-
-impl SharedBenchmarkRun {
-    /// Computes a run from scratch, Arc-wrapped for sharing. Produces
-    /// artifacts identical to [`run_benchmark`] — same session, same
-    /// slice recipes.
-    pub fn compute(benchmark: Benchmark, with_syscall: bool) -> SharedBenchmarkRun {
-        let BenchmarkRun {
-            benchmark,
-            session,
-            forward,
-            pixel,
-            syscall,
-        } = run_benchmark(benchmark, with_syscall);
-        SharedBenchmarkRun {
-            benchmark,
-            session: Arc::new(session),
-            forward: Arc::new(forward),
-            pixel: Arc::new(pixel),
-            syscall: syscall.map(Arc::new),
-        }
     }
 }
 

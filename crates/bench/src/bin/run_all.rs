@@ -8,11 +8,11 @@
 //! are byte-identical no matter the thread count. Per-stage timing lands
 //! in `results/perf.txt` and `results/bench_engine.json`.
 
-use wasteprof_bench::engine::{self, EngineOptions};
+use wasteprof_bench::engine;
 use wasteprof_bench::save;
 
 fn main() {
-    let report = engine::run(&EngineOptions::default());
+    let report = engine::run();
     for view in &report.views {
         println!("\n=== {} ===", view.name);
         println!("{}", view.stdout);

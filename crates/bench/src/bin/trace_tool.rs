@@ -10,9 +10,11 @@
 //! 1 with findings, 2 on usage errors.
 //!
 //! `convert` re-encodes a WPTRACE1 file into the chunked, per-column
-//! compressed WPTRACE2 tier; `slice`/`check`/`certify --out-of-core`
-//! then run entirely from that file through [`TraceReader`]'s bounded
-//! chunk window — the whole trace never lives in memory.
+//! compressed WPTRACE2 tier. `slice`, `check`, `analyze` and `certify`
+//! take either tier, told apart by the file's magic: a WPTRACE1 file is
+//! read into memory, a WPTRACE2 file runs entirely through
+//! [`TraceReader`]'s bounded chunk window — the whole trace never lives
+//! in memory — and both print the same stdout.
 //!
 //! `static` needs no trace at all: it runs the wasteprof-staticjs
 //! interprocedural analyzer (codes WP0101-WP0106) over a benchmark's
@@ -22,19 +24,18 @@
 //! canonical session and the allocator-stripped pixel slice.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
-use wasteprof_analysis::{format_count, thread_rows, thread_rows_from, FrameAnalysis, TextTable};
-use wasteprof_checker::{DeadWriteLint, Registry};
+use wasteprof_analysis::{format_count, thread_rows_from, FrameAnalysis, TextTable};
+use wasteprof_checker::{certify_source, verify_source, DeadWriteLint, Registry};
 use wasteprof_slicer::{
-    pixel_criteria, pixel_criteria_streamed, slice, slice_streamed, strip_allocator_deps,
-    syscall_criteria, syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult,
-    SummaryCache,
+    pixel_criteria, pixel_criteria_source, slice, slice_source, strip_allocator_deps,
+    syscall_criteria_source, Criteria, ForwardPass, SliceOptions, SummaryCache,
 };
 use wasteprof_trace::{
-    read_trace, write_trace, write_trace2, AnalysisDriver, Trace, TraceIoError, TracePos,
-    TraceReader,
+    read_trace, trace_tier, write_trace, write_trace2, AnalysisDriver, Trace, TraceIoError,
+    TracePos, TraceReader, TraceSource, TraceTier,
 };
 use wasteprof_workloads::{bing_frames, Benchmark};
 
@@ -50,16 +51,19 @@ fn usage() -> ! {
          trace_tool convert <in.wptrace> <out.wptrace2>\n  \
          trace_tool inspect <file> [--head N]\n  \
          trace_tool slice   <file> [shared flags] [--incremental] [--cache-dir DIR | --no-cache]\n  \
-         trace_tool check   <file> [--json] [--max-diags N] [--out-of-core]\n  \
-         trace_tool analyze <file> [--analyses a,b,c] [--json] [--out-of-core]\n  \
+         trace_tool check   <file> [--json] [--max-diags N]\n  \
+         trace_tool analyze <file> [--analyses a,b,c] [--json]\n  \
          trace_tool static  <amazon_desktop|amazon_mobile|maps|bing> [--json] [--referee [--per-function]]\n  \
          trace_tool certify <file> [shared flags] [--json]\n\n\
+         `slice`, `check`, `analyze` and `certify` read <file> in either tier,\n  \
+         told apart by its magic: WPTRACE1 (from `export`) is read into\n  \
+         memory, WPTRACE2 (from `convert`) streams through a bounded chunk\n  \
+         window. Both tiers print the same stdout.\n\n\
          shared flags:\n  \
-         flag                  slice  check  certify  convert   meaning\n  \
-         --criteria p|s        yes    -      yes      -         pixels (default) or syscalls\n  \
-         --segments K          yes    -      yes      -         0/1 = sequential walk (default), K>1 = segment driver\n  \
-         --out-of-core         yes    yes    yes      (output)  stream a WPTRACE2 file from `convert`\n  \
-         --json                -      yes    yes      -         machine-readable diagnostics\n\n\
+         flag                  slice  check  certify   meaning\n  \
+         --criteria p|s        yes    -      yes       pixels (default) or syscalls\n  \
+         --segments K          yes    -      yes       0/1 = sequential walk (default), K>1 = segment driver\n  \
+         --json                -      yes    yes       machine-readable diagnostics\n\n\
          incremental slicing (`slice` only):\n  \
          --incremental         slice through the segment-summary cache; output is\n  \
                                byte-identical to a from-scratch slice, cache stats\n  \
@@ -72,8 +76,9 @@ fn usage() -> ! {
          lints          the full verifier battery (WP0001-WP0007)\n  \
          dead-writes    the WP0012 dead-producer-write metric\n  \
          frames         call-frame nesting + syscall profile\n  \
-         with --out-of-core only the column streams the selected analyses\n  \
-         subscribe to are decompressed; skipped bytes go to stderr.\n\n\
+         on a WPTRACE2 file only the column streams the selected analyses\n  \
+         subscribe to are decompressed; decoded and skipped bytes go to\n  \
+         stderr.\n\n\
          `static` runs the ahead-of-time interprocedural analyzer over a\n  \
          site's scripts — no trace needed: possibly-undefined reads\n  \
          (WP0101), dead stores (WP0102), unreachable code (WP0103),\n  \
@@ -101,28 +106,46 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn load(path: &str) -> Trace {
-    let file = File::open(path).unwrap_or_else(|e| {
+fn open(path: &str) -> BufReader<File> {
+    BufReader::new(File::open(path).unwrap_or_else(|e| {
         eprintln!("cannot open {path}: {e}");
         std::process::exit(1);
-    });
-    read_trace(&mut BufReader::new(file)).unwrap_or_else(|e| {
+    }))
+}
+
+/// Exits 1 with a message when `path` cannot be read as a trace.
+fn read_ok<T>(path: &str, res: Result<T, TraceIoError>) -> T {
+    res.unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     })
 }
 
-/// Opens a `WPTRACE2` file for streaming; exits 1 on any I/O or format
-/// error, like [`load`] does for the in-memory tier.
-fn open_reader(path: &str) -> TraceReader<BufReader<File>> {
-    let file = File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    TraceReader::open(BufReader::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    })
+/// Reads a WPTRACE1 file whole into memory.
+fn load(path: &str) -> Trace {
+    read_ok(path, read_trace(&mut open(path)))
+}
+
+/// Opens `path` in the tier its magic names and evaluates `$body` with
+/// `$src` bound to it as a `&mut impl TraceSource`: a WPTRACE1 file is
+/// read whole into memory, a WPTRACE2 file streams through its bounded
+/// chunk window. Exits 1 on any I/O or format error.
+macro_rules! with_source {
+    ($path:expr, |$src:ident| $body:expr) => {{
+        let path: &str = $path;
+        let mut file = open(path);
+        match read_ok(path, trace_tier(&mut file)) {
+            TraceTier::Resident => {
+                let trace = read_ok(path, read_trace(&mut file));
+                let $src = &mut &trace;
+                $body
+            }
+            TraceTier::Chunked => {
+                let $src = &mut read_ok(path, TraceReader::open(file));
+                $body
+            }
+        }
+    }};
 }
 
 /// Exits 1 with a message when a streamed pass fails mid-trace.
@@ -131,6 +154,22 @@ fn stream_ok<T>(res: Result<T, TraceIoError>) -> T {
         eprintln!("stream error: {e}");
         std::process::exit(1);
     })
+}
+
+/// Writes `trace` to `path` as WPTRACE1; exits 1 with the error when the
+/// file cannot be created or written.
+fn export_to(path: &str, trace: &Trace) {
+    let written = File::create(path)
+        .map_err(TraceIoError::from)
+        .and_then(|file| {
+            let mut w = BufWriter::new(file);
+            write_trace(&mut w, trace)?;
+            Ok(w.flush()?)
+        });
+    if let Err(e) = written {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// One referee metric as a JSON object (`static --referee --json`).
@@ -254,23 +293,12 @@ fn referee_text(r: &wasteprof_staticjs::RefereeReport, per_function: bool) -> St
     out
 }
 
-/// Computes the streamed slice: forward pass, criteria, and backward
-/// slice all driven from the reader's bounded chunk window.
-fn slice_out_of_core(
-    reader: &mut TraceReader<BufReader<File>>,
-    syscalls: bool,
-    options: &SliceOptions,
-) -> SliceResult {
-    let forward = stream_ok(ForwardPass::build_streamed(reader));
-    let criteria = streamed_criteria(reader, syscalls);
-    stream_ok(slice_streamed(reader, &forward, &criteria, options))
-}
-
-fn streamed_criteria(reader: &mut TraceReader<BufReader<File>>, syscalls: bool) -> Criteria {
+/// The pixel criteria, or with `syscalls` the output-syscall criteria.
+fn criteria_of<S: TraceSource>(src: &mut S, syscalls: bool) -> Criteria {
     if syscalls {
-        stream_ok(syscall_criteria_streamed(reader))
+        stream_ok(syscall_criteria_source(src))
     } else {
-        pixel_criteria_streamed(reader)
+        pixel_criteria_source(src)
     }
 }
 
@@ -320,8 +348,7 @@ fn main() {
                 for k in 0..fs.frames() {
                     let frame = fs.frame_trace(k);
                     let out = format!("{path}.f{k}");
-                    let file = File::create(&out).expect("create output file");
-                    write_trace(&mut BufWriter::new(file), &frame).expect("serialize");
+                    export_to(&out, &frame);
                     println!(
                         "wrote {} instructions to {out}",
                         format_count(frame.len() as u64)
@@ -330,8 +357,7 @@ fn main() {
             } else {
                 eprintln!("running {}...", benchmark.label());
                 let session = benchmark.run();
-                let file = File::create(path).expect("create output file");
-                write_trace(&mut BufWriter::new(file), &session.trace).expect("serialize");
+                export_to(path, &session.trace);
                 println!(
                     "wrote {} instructions ({} markers) to {path}",
                     format_count(session.trace.len() as u64),
@@ -425,7 +451,6 @@ fn main() {
         Some("slice") => {
             let Some(path) = args.get(1) else { usage() };
             let mut syscalls = false;
-            let mut out_of_core = false;
             let mut incremental = false;
             let mut no_cache = false;
             let mut segments = 0usize;
@@ -434,7 +459,6 @@ fn main() {
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--criteria" => syscalls = parse_criteria(rest.next()),
-                    "--out-of-core" => out_of_core = true,
                     "--incremental" => incremental = true,
                     "--no-cache" => no_cache = true,
                     "--cache-dir" => {
@@ -461,28 +485,23 @@ fn main() {
                 segments,
                 ..Default::default()
             };
-            let (result, rows) = if incremental {
-                let mut cache = match &cache_dir {
-                    Some(dir) => SummaryCache::load(Path::new(dir), CACHE_BUDGET),
-                    None => SummaryCache::new(),
+            let mut cache = incremental.then(|| match &cache_dir {
+                Some(dir) => SummaryCache::load(Path::new(dir), CACHE_BUDGET),
+                None => SummaryCache::new(),
+            });
+            let (result, rows) = with_source!(path, |src| {
+                let criteria = criteria_of(src, syscalls);
+                let result = match cache.as_mut() {
+                    Some(cache) => stream_ok(cache.slice_source(src, &criteria, &opts)),
+                    None => {
+                        let forward = stream_ok(ForwardPass::build_source(src));
+                        stream_ok(slice_source(src, &forward, &criteria, &opts))
+                    }
                 };
-                let (result, rows) = if out_of_core {
-                    let mut reader = open_reader(path);
-                    let criteria = streamed_criteria(&mut reader, syscalls);
-                    let result = stream_ok(cache.slice_streamed(&mut reader, &criteria, &opts));
-                    let rows = thread_rows_from(reader.threads(), &result);
-                    (result, rows)
-                } else {
-                    let trace = load(path);
-                    let criteria = if syscalls {
-                        syscall_criteria(&trace)
-                    } else {
-                        pixel_criteria(&trace)
-                    };
-                    let result = cache.slice(&trace, &criteria, &opts);
-                    let rows = thread_rows(&trace, &result);
-                    (result, rows)
-                };
+                let rows = thread_rows_from(src.threads(), &result);
+                (result, rows)
+            });
+            if let Some(cache) = &cache {
                 // Stats go to stderr so stdout stays diffable against a
                 // from-scratch slice.
                 let s = cache.stats();
@@ -503,24 +522,7 @@ fn main() {
                         std::process::exit(1);
                     }
                 }
-                (result, rows)
-            } else if out_of_core {
-                let mut reader = open_reader(path);
-                let result = slice_out_of_core(&mut reader, syscalls, &opts);
-                let rows = thread_rows_from(reader.threads(), &result);
-                (result, rows)
-            } else {
-                let trace = load(path);
-                let forward = ForwardPass::build(&trace);
-                let criteria = if syscalls {
-                    syscall_criteria(&trace)
-                } else {
-                    pixel_criteria(&trace)
-                };
-                let result = slice(&trace, &forward, &criteria, &opts);
-                let rows = thread_rows(&trace, &result);
-                (result, rows)
-            };
+            }
             println!(
                 "{} criteria; slice = {} of {} instructions ({:.1}%)\n",
                 if syscalls { "syscall" } else { "pixel" },
@@ -541,13 +543,11 @@ fn main() {
         Some("check") => {
             let Some(path) = args.get(1) else { usage() };
             let mut json = false;
-            let mut out_of_core = false;
             let mut max_diags: Option<usize> = None;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--json" => json = true,
-                    "--out-of-core" => out_of_core = true,
                     "--max-diags" => {
                         let n = rest
                             .next()
@@ -558,14 +558,10 @@ fn main() {
                     _ => usage(),
                 }
             }
-            let (mut diags, instrs) = if out_of_core {
-                let mut reader = open_reader(path);
-                let diags = stream_ok(wasteprof_checker::verify_streamed(&mut reader));
-                (diags, reader.len() as u64)
-            } else {
-                let trace = load(path);
-                (wasteprof_checker::verify(&trace), trace.len() as u64)
-            };
+            let (mut diags, instrs) = with_source!(path, |src| (
+                stream_ok(verify_source(src)),
+                src.len() as u64
+            ));
             let total = diags.len();
             if let Some(cap) = max_diags {
                 diags.truncate(cap);
@@ -661,13 +657,11 @@ fn main() {
         Some("analyze") => {
             let Some(path) = args.get(1) else { usage() };
             let mut json = false;
-            let mut out_of_core = false;
             let mut selected: Option<Vec<String>> = None;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--json" => json = true,
-                    "--out-of-core" => out_of_core = true,
                     "--analyses" => {
                         let list = rest.next().unwrap_or_else(|| usage());
                         selected = Some(list.split(',').map(str::to_owned).collect());
@@ -714,26 +708,20 @@ fn main() {
             if let Some(a) = frames.as_mut() {
                 driver.register(a);
             }
-            let instrs = if out_of_core {
-                let mut reader = open_reader(path);
-                stream_ok(driver.run_streamed(&mut reader));
-                drop(driver);
-                let s = reader.decode_stats();
+            let instrs = with_source!(path, |src| {
+                stream_ok(driver.run_source(src));
+                let s = src.decode_stats();
                 // Selective decoding is the point of the fused streamed
-                // pass; stderr keeps stdout diffable against in-memory.
+                // pass; stderr keeps stdout diffable across the tiers.
                 eprintln!(
                     "decode: {} chunks, {} stream bytes decoded, {} skipped",
                     s.chunks_decoded,
                     format_count(s.decoded_stream_bytes),
                     format_count(s.skipped_stream_bytes)
                 );
-                reader.len() as u64
-            } else {
-                let trace = load(path);
-                driver.run(&trace);
-                drop(driver);
-                trace.len() as u64
-            };
+                src.len() as u64
+            });
+            drop(driver);
             let mut diags = lint_battery.map(|mut b| b.take_diags()).unwrap_or_default();
             diags.extend(dead_battery.map(|mut b| b.take_diags()).unwrap_or_default());
             wasteprof_checker::sort_diags(&mut diags);
@@ -792,14 +780,12 @@ fn main() {
             let Some(path) = args.get(1) else { usage() };
             let mut json = false;
             let mut syscalls = false;
-            let mut out_of_core = false;
             let mut segments = 0usize;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--json" => json = true,
                     "--criteria" => syscalls = parse_criteria(rest.next()),
-                    "--out-of-core" => out_of_core = true,
                     "--segments" => {
                         segments = rest
                             .next()
@@ -814,30 +800,13 @@ fn main() {
                 segments,
                 ..Default::default()
             };
-            let (result, diags) = if out_of_core {
-                let mut reader = open_reader(path);
-                let forward = stream_ok(ForwardPass::build_streamed(&mut reader));
-                let criteria = streamed_criteria(&mut reader, syscalls);
-                let result = stream_ok(slice_streamed(&mut reader, &forward, &criteria, &opts));
-                let diags = stream_ok(wasteprof_checker::certify_streamed(
-                    &mut reader,
-                    &forward,
-                    &criteria,
-                    &result,
-                ));
+            let (result, diags) = with_source!(path, |src| {
+                let forward = stream_ok(ForwardPass::build_source(src));
+                let criteria = criteria_of(src, syscalls);
+                let result = stream_ok(slice_source(src, &forward, &criteria, &opts));
+                let diags = stream_ok(certify_source(src, &forward, &criteria, &result));
                 (result, diags)
-            } else {
-                let trace = load(path);
-                let forward = ForwardPass::build(&trace);
-                let criteria = if syscalls {
-                    syscall_criteria(&trace)
-                } else {
-                    pixel_criteria(&trace)
-                };
-                let result = slice(&trace, &forward, &criteria, &opts);
-                let diags = wasteprof_checker::certify(&trace, &forward, &criteria, &result);
-                (result, diags)
-            };
+            });
             if json {
                 println!("{}", wasteprof_checker::render_json(&diags));
             } else if diags.is_empty() {

@@ -21,11 +21,11 @@
 //!   `results/bench_engine.json`.
 //!
 //! Each experiment is a *view* over the store ([`table1`], [`table2`],
-//! [`fig2`], [`fig4`], [`fig5`], [`bing_backslice`], [`ablations`]): it
-//! reads shared artifacts, does only its unique extra work (e.g. the
-//! ablation configuration runs), and returns its text output plus the
-//! files it wants written. The standalone binaries are thin wrappers that
-//! build a store, evaluate one view, and save it.
+//! [`table2_waste_from`], [`fig2_from`], [`fig4`], [`fig5_from`],
+//! [`bing_backslice`], [`ablations`]): it reads shared artifacts, does only
+//! its unique extra work (e.g. the ablation configuration runs), and
+//! returns its text output plus the files it wants written. `run_all` is
+//! the one binary that evaluates and saves them.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 use wasteprof_analysis::{
     ascii_chart, bar_chart, format_count, pixel_slice_with, syscall_slice_with, thread_rows,
-    to_csv, Category, CategoryAnalysis, CategoryBreakdown, SharedBenchmarkRun, Table1Row,
-    TextTable, UnusedBytes, UtilizationAnalysis, UtilizationSeries, WasteAnalysis, WasteBreakdown,
+    to_csv, Category, CategoryAnalysis, CategoryBreakdown, Table1Row, TextTable, UnusedBytes,
+    UtilizationAnalysis, UtilizationSeries, WasteAnalysis, WasteBreakdown,
 };
 use wasteprof_browser::{BrowserConfig, Session, Tab};
 use wasteprof_checker::{DeadWriteLint, Registry};
@@ -315,71 +315,19 @@ impl SessionStore {
             })
             .clone()
     }
-
-    /// Assembles the cached counterpart of
-    /// [`wasteprof_analysis::run_benchmark`] from memoized artifacts.
-    pub fn benchmark_run(&self, b: Benchmark, with_syscall: bool) -> SharedBenchmarkRun {
-        SharedBenchmarkRun {
-            benchmark: b,
-            session: self.base_session(b),
-            forward: self.forward(b),
-            pixel: self.pixel_slice(b),
-            syscall: with_syscall.then(|| self.syscall_slice(b)),
-        }
-    }
 }
 
-/// Per-experiment options, routed explicitly to the views that understand
-/// them (the old child-process harness passed a stray `both` argument to
-/// every binary and only `table2` happened to parse it).
-#[derive(Debug, Clone)]
-pub struct EngineOptions {
-    /// Table II: also compute the syscall-criteria slices and append the
-    /// §V pixel-vs-syscall comparison.
-    pub table2_criteria_both: bool,
-    /// Run the trace verifier (race detector + well-formedness lints)
-    /// over every session before the experiments consume it, emitting
-    /// `results/check.txt`.
-    pub verify_traces: bool,
-    /// Emit dependence witnesses on every slice and run the independent
-    /// certifier over the pixel and syscall slices of all six sessions,
-    /// emitting `results/certify.txt`.
-    pub certify_slices: bool,
-    /// Drive the incremental slicing tier (the content-addressed
-    /// [`SummaryCache`]) over this many Bing browse frames plus one
-    /// steady-state re-slice, reporting reuse counters as an engine
-    /// stage in `perf.txt` / `bench_engine.json`. `0` disables the
-    /// stage. This produces no `results/` artifact, so the determinism
-    /// contract is untouched.
-    pub incremental_frames: usize,
-    /// Run the ahead-of-time static analyzer over every benchmark's
-    /// scripts and referee its predictions against each session's
-    /// execution witness and pixel slice, emitting
-    /// `results/static_vs_dynamic.txt`.
-    pub static_referee: bool,
-}
+/// Bing browse frames the incremental stage drives the summary cache
+/// over, before one steady-state re-slice of the last frame.
+const INCREMENTAL_FRAMES: usize = 3;
 
-impl Default for EngineOptions {
-    /// `run_all` defaults: the full Table II including the §V comparison,
-    /// with every trace verified and every slice certified.
-    fn default() -> Self {
-        EngineOptions {
-            table2_criteria_both: true,
-            verify_traces: true,
-            certify_slices: true,
-            incremental_frames: 3,
-            static_referee: true,
-        }
-    }
-}
-
-/// One experiment's evaluated output: what the standalone binary prints,
-/// plus the files it saves into `results/`.
+/// One experiment's evaluated output: what `run_all` prints for it, plus
+/// the files it saves into `results/`.
 #[derive(Debug, Clone)]
 pub struct View {
     /// Experiment name (`table1`, `fig4`, ...).
     pub name: &'static str,
-    /// The report text the binary prints to stdout.
+    /// The report text `run_all` prints to stdout.
     pub stdout: String,
     /// `(file name, content)` pairs for `results/`.
     pub artifacts: Vec<(String, String)>,
@@ -469,9 +417,9 @@ pub fn table1(store: &SessionStore) -> View {
     View::new("table1", out, artifacts)
 }
 
-/// Table II: pixel-slice statistics per thread for all four benchmarks.
-pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
-    let both = opts.table2_criteria_both;
+/// Table II: pixel-slice statistics per thread for all four benchmarks,
+/// followed by the §V pixel-vs-syscall slice comparison.
+pub fn table2(store: &SessionStore) -> View {
     let mut out = String::new();
     out.push_str("Table II: Slicing statistics of pixel-based approach for all\n");
     out.push_str("instructions and important threads.\n");
@@ -480,8 +428,8 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
 
     let mut comparison = String::new();
     for benchmark in Benchmark::ALL {
-        let run = store.benchmark_run(benchmark, both);
-        let rows = thread_rows(&run.session.trace, &run.pixel);
+        let pixel = store.pixel_slice(benchmark);
+        let rows = thread_rows(&store.base_session(benchmark).trace, &pixel);
         let mut table = TextTable::new(vec!["Threads", "Pixels slice", "Total instructions"]);
         for r in &rows {
             table.row(vec![
@@ -496,23 +444,19 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
             table.render()
         ));
 
-        if let Some(sys) = &run.syscall {
-            comparison.push_str(&format!(
-                "{:<32} pixel slice {:>5.1}%   syscall slice {:>5.1}%\n",
-                benchmark.label(),
-                run.pixel.fraction() * 100.0,
-                sys.fraction() * 100.0,
-            ));
-        }
+        comparison.push_str(&format!(
+            "{:<32} pixel slice {:>5.1}%   syscall slice {:>5.1}%\n",
+            benchmark.label(),
+            pixel.fraction() * 100.0,
+            store.syscall_slice(benchmark).fraction() * 100.0,
+        ));
     }
-    if !comparison.is_empty() {
-        out.push_str(
-            "\nPixel-based vs syscall-based criteria (paper: \"slicing based on\n\
-             either pixels buffer or system calls leads to almost the same\n\
-             slice\"):\n\n",
-        );
-        out.push_str(&comparison);
-    }
+    out.push_str(
+        "\nPixel-based vs syscall-based criteria (paper: \"slicing based on\n\
+         either pixels buffer or system calls leads to almost the same\n\
+         slice\"):\n\n",
+    );
+    out.push_str(&comparison);
     let artifacts = vec![("table2.txt".to_owned(), out.clone())];
     View::new("table2", out, artifacts)
 }
@@ -520,25 +464,9 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
 /// Figure 2 buckets: resolution of the main-thread utilization series.
 pub const FIG2_BUCKETS: usize = 120;
 
-/// Figure 2: main-thread CPU utilization while browsing amazon.com.
-///
-/// Standalone entry point: computes the utilization series with a solo
-/// driver run. The engine computes the same series in its fused `analyze`
-/// sweep and calls [`fig2_from`] instead.
-pub fn fig2(store: &SessionStore) -> View {
-    let session = store.browse_session(Benchmark::AmazonDesktop);
-    let main_tid = session
-        .trace
-        .threads()
-        .find(ThreadKind::Main)
-        .expect("main thread");
-    let series =
-        UtilizationSeries::compute(&session.trace, &session.idle_spans, main_tid, FIG2_BUCKETS);
-    fig2_from(store, &series)
-}
-
-/// Renders Figure 2 from an already-computed utilization series (the
-/// engine's fused `analyze` stage produces it; [`fig2`] computes it solo).
+/// Figure 2: main-thread CPU utilization while browsing amazon.com,
+/// rendered from the utilization series the engine's fused `analyze`
+/// stage computes.
 pub fn fig2_from(store: &SessionStore, series: &UtilizationSeries) -> View {
     let session = store.browse_session(Benchmark::AmazonDesktop);
     let mut out = String::new();
@@ -587,8 +515,8 @@ pub fn fig4(store: &SessionStore) -> View {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
     for benchmark in Benchmark::ALL {
-        let run = store.benchmark_run(benchmark, false);
-        let timeline = run.pixel.timeline();
+        let pixel = store.pixel_slice(benchmark);
+        let timeline = pixel.timeline();
         let all: Vec<f64> = timeline.iter().map(|p| p.fraction()).collect();
         let main: Vec<f64> = timeline.iter().map(|p| p.tracked_fraction()).collect();
 
@@ -643,24 +571,9 @@ pub fn fig4(store: &SessionStore) -> View {
     View::new("fig4", out, artifacts)
 }
 
-/// Figure 5: categorization of potentially unnecessary computations.
-///
-/// Standalone entry point: computes each benchmark's breakdown with a
-/// solo driver run. The engine computes the same breakdowns in its fused
-/// `analyze` sweep and calls [`fig5_from`] instead.
-pub fn fig5(store: &SessionStore) -> View {
-    let breakdowns: Vec<CategoryBreakdown> = Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            let run = store.benchmark_run(b, false);
-            CategoryBreakdown::compute(&run.session.trace, &run.pixel)
-        })
-        .collect();
-    fig5_from(&breakdowns)
-}
-
-/// Renders Figure 5 from already-computed breakdowns, one per benchmark
-/// in [`Benchmark::ALL`] order.
+/// Figure 5: categorization of potentially unnecessary computations,
+/// rendered from the breakdowns the engine's fused `analyze` stage
+/// computes, one per benchmark in [`Benchmark::ALL`] order.
 ///
 /// # Panics
 ///
@@ -710,23 +623,8 @@ pub fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
 }
 
 /// Table II × Figure 5: per-thread-role namespace categorization of the
-/// non-slice instructions in every benchmark's base session.
-///
-/// Standalone entry point: computes each breakdown with a solo driver
-/// run. The engine computes the same breakdowns in its fused `analyze`
-/// sweep and calls [`table2_waste_from`] instead.
-pub fn table2_waste(store: &SessionStore) -> View {
-    let breakdowns: Vec<WasteBreakdown> = Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            let run = store.benchmark_run(b, false);
-            WasteBreakdown::compute(&run.session.trace, &run.pixel)
-        })
-        .collect();
-    table2_waste_from(&breakdowns)
-}
-
-/// Renders the waste cross-table from already-computed breakdowns, one
+/// non-slice instructions in every benchmark's base session, rendered
+/// from the breakdowns the engine's fused `analyze` stage computes, one
 /// per benchmark in [`Benchmark::ALL`] order.
 ///
 /// # Panics
@@ -1053,8 +951,8 @@ pub struct EngineReport {
     /// the key every memoized slice (and summary-cache entry) was
     /// computed under.
     pub slice_fingerprint: u64,
-    /// Summary-cache counters from the incremental stage, when it ran.
-    pub incremental: Option<CacheStats>,
+    /// Summary-cache counters from the incremental stage.
+    pub incremental: CacheStats,
 }
 
 impl EngineReport {
@@ -1100,21 +998,20 @@ impl EngineReport {
             "slice config fingerprint: {:#018x}\n",
             self.slice_fingerprint
         ));
-        if let Some(c) = &self.incremental {
-            out.push_str(&format!(
-                "incremental cache: {} hits, {} misses ({:.0}% hit rate), \
-                 {} stitch states reused, {} evictions, {} bytes held, {} fallbacks, \
-                 {} rejected loads\n",
-                c.hits,
-                c.misses,
-                c.hit_rate() * 100.0,
-                c.stitch_reused,
-                c.evictions,
-                c.bytes_held,
-                c.fallbacks,
-                c.rejected_loads
-            ));
-        }
+        let c = &self.incremental;
+        out.push_str(&format!(
+            "incremental cache: {} hits, {} misses ({:.0}% hit rate), \
+             {} stitch states reused, {} evictions, {} bytes held, {} fallbacks, \
+             {} rejected loads\n",
+            c.hits,
+            c.misses,
+            c.hit_rate() * 100.0,
+            c.stitch_reused,
+            c.evictions,
+            c.bytes_held,
+            c.fallbacks,
+            c.rejected_loads
+        ));
         out
     }
 
@@ -1153,21 +1050,20 @@ impl EngineReport {
             self.slice_fingerprint
         ));
         out.push_str("  }");
-        if let Some(c) = &self.incremental {
-            out.push_str(&format!(
-                ",\n  \"incremental\": {{\"hits\": {}, \"misses\": {}, \
-                 \"hit_rate\": {:.4}, \"stitch_reused\": {}, \"evictions\": {}, \
-                 \"bytes_held\": {}, \"fallbacks\": {}, \"rejected_loads\": {}}}",
-                c.hits,
-                c.misses,
-                c.hit_rate(),
-                c.stitch_reused,
-                c.evictions,
-                c.bytes_held,
-                c.fallbacks,
-                c.rejected_loads
-            ));
-        }
+        let c = &self.incremental;
+        out.push_str(&format!(
+            ",\n  \"incremental\": {{\"hits\": {}, \"misses\": {}, \
+             \"hit_rate\": {:.4}, \"stitch_reused\": {}, \"evictions\": {}, \
+             \"bytes_held\": {}, \"fallbacks\": {}, \"rejected_loads\": {}}}",
+            c.hits,
+            c.misses,
+            c.hit_rate(),
+            c.stitch_reused,
+            c.evictions,
+            c.bytes_held,
+            c.fallbacks,
+            c.rejected_loads
+        ));
         out.push_str("\n}\n");
         out
     }
@@ -1179,8 +1075,9 @@ impl EngineReport {
 /// Emission (printing, file writes) is left to the caller so it happens
 /// sequentially in a fixed order: the artifact bytes are identical no
 /// matter how many threads computed them.
-pub fn run(opts: &EngineOptions) -> EngineReport {
-    let store = SessionStore::with_slice_config(opts.certify_slices);
+pub fn run() -> EngineReport {
+    // Every slice carries a witness table for the certify stage.
+    let store = SessionStore::with_slice_config(true);
     let started = Instant::now();
     let mut stages = Vec::new();
 
@@ -1212,17 +1109,15 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     });
 
     // Stage 2: one forward pass per base session, plus the two distinct
-    // browse sessions when the certifier will need their slices.
+    // browse sessions the certifier needs slices of.
     let mut forward_keys: Vec<SessionKey> = Benchmark::ALL
         .iter()
         .map(|b| SessionKey::Base(*b))
         .collect();
-    if opts.certify_slices {
-        forward_keys.extend([
-            SessionKey::Browse(Benchmark::AmazonDesktop),
-            SessionKey::Browse(Benchmark::GoogleMaps),
-        ]);
-    }
+    forward_keys.extend([
+        SessionKey::Browse(Benchmark::AmazonDesktop),
+        SessionKey::Browse(Benchmark::GoogleMaps),
+    ]);
     let t = Instant::now();
     let work: Vec<(u64, u64)> = forward_keys
         .par_iter()
@@ -1240,9 +1135,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         wall: t.elapsed(),
     });
 
-    // Stage 3: independent slicing runs — pixel everywhere, syscall when
-    // Table II wants the §V comparison, the §V-A bounded Bing slice, and
-    // the browse-session slices the certifier will re-check.
+    // Stage 3: independent slicing runs — pixel everywhere, syscall for
+    // Table II's §V comparison, the §V-A bounded Bing slice, and the
+    // browse-session slices the certifier will re-check.
     #[derive(Clone, Copy)]
     enum SliceJob {
         Pixel(Benchmark),
@@ -1252,15 +1147,11 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         BingLoadPrefix,
     }
     let mut jobs: Vec<SliceJob> = Benchmark::ALL.iter().map(|b| SliceJob::Pixel(*b)).collect();
-    if opts.table2_criteria_both {
-        jobs.extend(Benchmark::ALL.iter().map(|b| SliceJob::Syscall(*b)));
-    }
+    jobs.extend(Benchmark::ALL.iter().map(|b| SliceJob::Syscall(*b)));
     jobs.push(SliceJob::BingLoadPrefix);
-    if opts.certify_slices {
-        for b in [Benchmark::AmazonDesktop, Benchmark::GoogleMaps] {
-            jobs.push(SliceJob::BrowsePixel(b));
-            jobs.push(SliceJob::BrowseSyscall(b));
-        }
+    for b in [Benchmark::AmazonDesktop, Benchmark::GoogleMaps] {
+        jobs.push(SliceJob::BrowsePixel(b));
+        jobs.push(SliceJob::BrowseSyscall(b));
     }
     let t = Instant::now();
     let work: Vec<(u64, u64)> = jobs
@@ -1297,11 +1188,11 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
 
     // Stage 3½: one *fused* analysis sweep per session. A single
     // [`AnalysisDriver`] carries the verifier lint battery (WP0001-WP0007)
-    // and the WP0012 dead-write metric (when `verify_traces` is on)
-    // together with the per-instruction figure computations: Figure 5
-    // categories and the Table II × Figure 5 waste cross for every base
-    // session, Figure 2 utilization for the browse session it plots. Each
-    // trace is walked once for all of them instead of once per consumer.
+    // and the WP0012 dead-write metric together with the per-instruction
+    // figure computations: Figure 5 categories and the Table II × Figure 5
+    // waste cross for every base session, Figure 2 utilization for the
+    // browse session it plots. Each trace is walked once for all of them
+    // instead of once per consumer.
     // Fused results are identical to solo runs — the driver dispatches
     // each analysis independently and lint batteries sort their own
     // diagnostics — so `check.txt` and the figure artifacts keep their
@@ -1322,12 +1213,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .map(|k| {
             let session = store.session(*k);
             let trace = &session.trace;
-            let mut verify_reg = opts.verify_traces.then(Registry::with_default_lints);
-            let mut dead_reg = opts.verify_traces.then(|| {
-                let mut r = Registry::new();
-                r.register(Box::new(DeadWriteLint::default()));
-                r
-            });
+            let mut verify_reg = Registry::with_default_lints();
+            let mut dead_reg = Registry::new();
+            dead_reg.register(Box::new(DeadWriteLint::default()));
             // Base sessions own the canonical pixel slice (memoized by the
             // slices stage above), which the category and waste analyses
             // classify against; the browse sessions have no slice-derived
@@ -1343,15 +1231,11 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
                     let main = trace.threads().find(ThreadKind::Main).expect("main thread");
                     UtilizationAnalysis::new(session.idle_spans.clone(), main, FIG2_BUCKETS)
                 });
-            let mut verify_battery = verify_reg.as_mut().map(|r| r.as_analysis("verify"));
-            let mut dead_battery = dead_reg.as_mut().map(|r| r.as_analysis("dead-writes"));
+            let mut verify_battery = verify_reg.as_analysis("verify");
+            let mut dead_battery = dead_reg.as_analysis("dead-writes");
             let mut driver = AnalysisDriver::new();
-            if let Some(a) = verify_battery.as_mut() {
-                driver.register(a);
-            }
-            if let Some(a) = dead_battery.as_mut() {
-                driver.register(a);
-            }
+            driver.register(&mut verify_battery);
+            driver.register(&mut dead_battery);
             if let Some(a) = category.as_mut() {
                 driver.register(a);
             }
@@ -1367,10 +1251,8 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
                 label: k.label(),
                 len: trace.len() as u64,
                 bytes: trace.storage_bytes(),
-                diags: verify_battery
-                    .map(|mut b| b.take_diags())
-                    .unwrap_or_default(),
-                dead: dead_battery.map(|mut b| b.take_diags().len()).unwrap_or(0),
+                diags: verify_battery.take_diags(),
+                dead: dead_battery.take_diags().len(),
                 category: category.map(CategoryAnalysis::into_breakdown),
                 waste: waste.map(WasteAnalysis::into_breakdown),
                 utilization: utilization.map(UtilizationAnalysis::into_series),
@@ -1388,7 +1270,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // The verifier report (`results/check.txt`): same bytes as the old
     // dedicated check stage — diagnostics are pre-sorted by the lint
     // batteries, so they do not depend on the thread count.
-    let check_view = opts.verify_traces.then(|| {
+    let check_view = {
         let mut out = String::from(
             "Trace verification: happens-before race detector + streaming\n\
              lints (wasteprof-checker, codes WP0001-WP0007) over every\n\
@@ -1434,7 +1316,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             total_dead
         ));
         View::new("check", out.clone(), vec![("check.txt".to_owned(), out)])
-    });
+    };
 
     // The fused figure results, pulled out of the rows for the views
     // stage. `sessions[..4]` are the base sessions in `Benchmark::ALL`
@@ -1453,14 +1335,14 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .expect("browse-session utilization series");
     drop(rows);
 
-    // Stage 3b (optional): the independent slice certifier — replay every
+    // Stage 3b: the independent slice certifier — replay every
     // dependence witness against the columnar trace and check complement
     // safety (codes WP0008-WP0011) over the pixel and syscall slices of
     // all six sessions. Slices and forward passes are memoized above, so
     // this stage measures exactly the certifier sweeps. Diagnostics are
     // pre-sorted and jobs render in a fixed order, so the artifact bytes
     // do not depend on the thread count.
-    let certify_view = opts.certify_slices.then(|| {
+    let certify_view = {
         let t = Instant::now();
         let jobs: Vec<(SessionKey, bool)> = sessions
             .iter()
@@ -1540,9 +1422,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             out.clone(),
             vec![("certify.txt".to_owned(), out)],
         )
-    });
+    };
 
-    // Stage 3d (optional): the static-vs-dynamic referee. The
+    // Stage 3d: the static-vs-dynamic referee. The
     // ahead-of-time analyzer (wasteprof-staticjs) sees only each
     // benchmark's script sources; its predictions are then scored
     // against the execution witness and the pixel slice of every engine
@@ -1556,7 +1438,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // violation); static-waste claims are scored on precision/recall
     // only. Sessions render in the fixed `sessions` order, so the
     // artifact bytes do not depend on the thread count.
-    let static_view = opts.static_referee.then(|| {
+    let static_view = {
         let t = Instant::now();
         type StaticRow = (String, u64, wasteprof_staticjs::RefereeReport);
         let results: Vec<StaticRow> = sessions
@@ -1669,9 +1551,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             out.clone(),
             vec![("static_vs_dynamic.txt".to_owned(), out)],
         )
-    });
+    };
 
-    // Stage 3c (optional): the incremental slicing tier. Drives the
+    // Stage 3c: the incremental slicing tier. Drives the
     // content-addressed summary cache over a short multi-frame Bing
     // browse sequence — each frame extends the previous one by one
     // interaction, hashes are maintained via
@@ -1679,9 +1561,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // frame once to exercise the steady-state (fully warm) path. Only
     // reuse counters and timing are reported; no `results/` artifact, so
     // determinism comparisons are untouched.
-    let incremental_stats = (opts.incremental_frames > 0).then(|| {
+    let incremental_stats = {
         let t = Instant::now();
-        let fs = bing_frames(opts.incremental_frames);
+        let fs = bing_frames(INCREMENTAL_FRAMES);
         let mut cache = SummaryCache::new();
         let sopts = SliceOptions::default();
         let mut hashes: Option<SegmentHashes> = None;
@@ -1708,7 +1590,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             wall: t.elapsed(),
         });
         cache.stats()
-    });
+    };
 
     // Stage 4: the experiment views. Everything shared is already in the
     // store — fig2, fig5, and the waste cross render the fused `analyze`
@@ -1718,7 +1600,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .par_iter()
         .map(|&i| match i {
             0 => table1(&store),
-            1 => table2(&store, opts),
+            1 => table2(&store),
             2 => table2_waste_from(&waste_breakdowns),
             3 => fig2_from(&store, &fig2_series),
             4 => fig4(&store),
@@ -1737,9 +1619,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // The verifier and certifier reports are emitted last, after the
     // experiment views, in a fixed order — their bytes are part of the
     // determinism contract.
-    views.extend(check_view);
-    views.extend(certify_view);
-    views.extend(static_view);
+    views.extend([check_view, certify_view, static_view]);
 
     EngineReport {
         threads: rayon::current_num_threads(),

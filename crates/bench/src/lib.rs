@@ -2,17 +2,18 @@
 
 //! Experiment harness for the wasteprof reproduction.
 //!
-//! Each binary regenerates one table or figure of the paper's evaluation:
+//! The `run_all` binary regenerates every table and figure of the paper's
+//! evaluation in one [`engine`] run, tee'd into `results/`:
 //!
-//! | target | paper artifact |
+//! | artifact | paper artifact |
 //! |---|---|
-//! | `table1` | Table I — unused JS/CSS bytes |
-//! | `table2` | Table II — pixel-slice statistics per thread |
-//! | `fig2` | Figure 2 — main-thread CPU utilization while browsing Amazon |
-//! | `fig4` | Figure 4 — slice percentage over the backward pass |
-//! | `fig5` | Figure 5 — categorization of unnecessary computations |
-//! | `bing_backslice` | §V-A — load-time slice vs full-session slice |
-//! | `run_all` | everything above, tee'd into `results/` |
+//! | `table1.txt` | Table I — unused JS/CSS bytes |
+//! | `table2.txt` | Table II — pixel-slice statistics per thread, plus the §V pixel-vs-syscall comparison |
+//! | `fig2.txt` | Figure 2 — main-thread CPU utilization while browsing Amazon |
+//! | `fig4.txt` | Figure 4 — slice percentage over the backward pass |
+//! | `fig5.txt` | Figure 5 — categorization of unnecessary computations |
+//! | `bing_backslice.txt` | §V-A — load-time slice vs full-session slice |
+//! | `ablations.txt` | §VII — deferred compilation and other ablations |
 //!
 //! Criterion benches (`cargo bench`) measure the profiler itself (forward
 //! pass, postdominators, backward slicing, interval sets) and the browser

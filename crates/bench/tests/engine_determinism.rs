@@ -7,14 +7,14 @@
 //! `RAYON_NUM_THREADS` environment variable for the whole process, so no
 //! sibling test can race on it.
 
-use wasteprof_bench::engine::{self, EngineOptions};
+use wasteprof_bench::engine;
 
 #[test]
 fn engine_output_is_byte_identical_across_thread_counts() {
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = engine::run(&EngineOptions::default());
+    let single = engine::run();
     std::env::set_var("RAYON_NUM_THREADS", "4");
-    let parallel = engine::run(&EngineOptions::default());
+    let parallel = engine::run();
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(single.threads, 1);
     assert_eq!(parallel.threads, 4);

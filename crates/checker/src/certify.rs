@@ -9,7 +9,7 @@
 //! packed columns — no `Instr` materialization, the same streaming
 //! style as the race detector — and shares no code with the backward
 //! walk, so a bug in the slicer's liveness machinery cannot hide itself.
-//! [`certify_streamed`] runs the identical sweep from a `WPTRACE2` reader
+//! [`certify_source`] runs the identical sweep from a `WPTRACE2` reader
 //! without ever holding the whole trace in memory.
 //!
 //! Two properties are checked:
@@ -43,7 +43,6 @@
 //! — diagnostic text is formatted only when a diagnostic is emitted.
 
 use std::fmt;
-use std::io::{Read, Seek};
 
 use wasteprof_slicer::{
     ControlDeps, Criteria, ForwardPass, SliceResult, SlicingCriterion, WitnessKind, WitnessRow,
@@ -51,7 +50,7 @@ use wasteprof_slicer::{
 };
 use wasteprof_trace::{
     ColumnCursor, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TraceIoError, TracePos,
-    TraceReader,
+    TraceSource,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
@@ -137,7 +136,7 @@ fn merge_dedup(a: &[u32], b: impl IntoIterator<Item = u32>) -> Vec<u32> {
 
 /// Sweep state shared by the edge and complement checks. Fed forward one
 /// [`ColumnCursor`] window at a time — the whole-trace cursor in
-/// [`certify`], bounded disk chunks in [`certify_streamed`] — so it never
+/// [`certify`], bounded disk chunks from a reader — so it never
 /// needs random access outside the current window.
 struct Certifier<'a> {
     w: &'a Witnesses,
@@ -545,33 +544,20 @@ fn prepare<'a>(
     })
 }
 
-/// Certifies `result` — a slice of `trace` under `criteria`, carrying a
+/// Certifies `result` — a slice of `src` under `criteria`, carrying a
 /// witness table — in one forward sweep. Returns diagnostics in canonical
 /// sorted order; empty means the slice and its complement check out.
+/// Over a `WPTRACE2` reader the sweep holds only the reader's bounded
+/// chunk window (plus per-position meta for witness rows) in memory.
 ///
 /// `forward` must be the same forward pass the slice was built from (the
 /// control-dependence edges are checked against its recovered CDG).
-pub fn certify(
-    trace: &Trace,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    result: &SliceResult,
-) -> Vec<Diag> {
-    match prepare(forward, criteria, result) {
-        Err(out) => out,
-        Ok(mut c) => {
-            let n = c.n;
-            c.feed(&trace.columns().cursor(0, n));
-            c.finish()
-        }
-    }
-}
-
-/// Out-of-core variant of [`certify`]: the same forward sweep fed from a
-/// [`TraceReader`]'s segment stream, holding only the reader's bounded
-/// chunk window (plus per-position meta for witness rows) in memory.
-pub fn certify_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
+///
+/// # Errors
+///
+/// A chunk read or decode error of a streamed source.
+pub fn certify_source<S: TraceSource>(
+    src: &mut S,
     forward: &ForwardPass,
     criteria: &Criteria,
     result: &SliceResult,
@@ -580,10 +566,21 @@ pub fn certify_streamed<R: Read + Seek>(
         Err(out) => Ok(out),
         Ok(mut c) => {
             let n = c.n;
-            reader.stream_range(0, n, |cur| c.feed(cur))?;
+            src.scan(0, n, |cur| c.feed(cur))?;
             Ok(c.finish())
         }
     }
+}
+
+/// [`certify_source`] over a resident trace.
+pub fn certify(
+    trace: &Trace,
+    forward: &ForwardPass,
+    criteria: &Criteria,
+    result: &SliceResult,
+) -> Vec<Diag> {
+    certify_source(&mut &*trace, forward, criteria, result)
+        .expect("a resident trace never fails to scan")
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@ pub mod mutate;
 pub mod race;
 mod shadow;
 
-pub use certify::{certify, certify_streamed};
+pub use certify::{certify, certify_source, certify_source as certify_streamed};
+pub use dead_writes_source as dead_writes_streamed;
 pub use diag::{render_json, render_text, sort_diags, Code, Diag};
 pub use lint::{Ctx, Lint, LintBattery, Registry};
 pub use lints::{
@@ -50,43 +51,41 @@ pub use lints::{
 pub use mutate::{Mutation, SliceMutation, TraceMutator};
 pub use race::{RaceLint, LOCK_SYMBOL};
 
-use std::io::{Read, Seek};
-use wasteprof_trace::{Trace, TraceIoError, TraceReader};
+use wasteprof_trace::{Trace, TraceIoError, TraceSource};
 
 /// Runs the default lint battery (race detector + six well-formedness
-/// lints) over `trace`, returning diagnostics in canonical sorted order.
+/// lints) over `src`, returning diagnostics in canonical sorted order.
 /// An empty result means the trace is well-formed and race-free under
 /// the checker's happens-before model.
-pub fn verify(trace: &Trace) -> Vec<Diag> {
-    Registry::with_default_lints().run(trace)
+///
+/// # Errors
+///
+/// A chunk read or decode error of a streamed source.
+pub fn verify_source<S: TraceSource>(src: &mut S) -> Result<Vec<Diag>, TraceIoError> {
+    Registry::with_default_lints().run_source(src)
 }
 
-/// Runs only the `WP0012` dead-write lint over `trace`: writes to
+/// [`verify_source`] over a resident trace.
+pub fn verify(trace: &Trace) -> Vec<Diag> {
+    verify_source(&mut &*trace).expect("a resident trace never fails to scan")
+}
+
+/// Runs only the `WP0012` dead-write lint over `src`: writes to
 /// single-producer regions (IPC channel, network input, framebuffer)
 /// whose bytes are overwritten before any read. Kept out of [`verify`]'s
 /// battery because dead writes are a waste *metric*, not a malformation —
 /// well-formed sessions legitimately contain them.
+///
+/// # Errors
+///
+/// A chunk read or decode error of a streamed source.
+pub fn dead_writes_source<S: TraceSource>(src: &mut S) -> Result<Vec<Diag>, TraceIoError> {
+    let mut r = Registry::new();
+    r.register(Box::new(DeadWriteLint::default()));
+    r.run_source(src)
+}
+
+/// [`dead_writes_source`] over a resident trace.
 pub fn dead_writes(trace: &Trace) -> Vec<Diag> {
-    let mut r = Registry::new();
-    r.register(Box::new(DeadWriteLint::default()));
-    r.run(trace)
-}
-
-/// Out-of-core variant of [`verify`]: runs the same default battery from a
-/// `WPTRACE2` [`TraceReader`]'s segment stream, holding only the reader's
-/// bounded chunk window in memory.
-pub fn verify_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Vec<Diag>, TraceIoError> {
-    Registry::with_default_lints().run_streamed(reader)
-}
-
-/// Out-of-core variant of [`dead_writes`], streaming from a `WPTRACE2`
-/// [`TraceReader`].
-pub fn dead_writes_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Vec<Diag>, TraceIoError> {
-    let mut r = Registry::new();
-    r.register(Box::new(DeadWriteLint::default()));
-    r.run_streamed(reader)
+    dead_writes_source(&mut &*trace).expect("a resident trace never fails to scan")
 }

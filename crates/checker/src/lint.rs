@@ -16,23 +16,24 @@
 //! [`wasteprof_trace::AnalysisCtx`] — lints and external analyses read the
 //! trace through one vocabulary — and each lint declares a
 //! [`Subscription`] naming the columns it reads, so a streamed run
-//! ([`Registry::run_streamed`]) decodes only the subscribed column streams
-//! and skips the rest (the verify battery reads everything except register
-//! bitsets).
+//! ([`Registry::run_source`] over a [`TraceReader`]) decodes only the
+//! subscribed column streams and skips the rest (the verify battery reads
+//! everything except register bitsets).
 //!
 //! The cursor indirection is what makes the battery out-of-core capable:
-//! [`Registry::run`] hands every lint one cursor spanning the whole
-//! in-memory trace, while [`Registry::run_streamed`] replays the same
-//! callbacks chunk by chunk from a [`TraceReader`], holding only the
-//! reader's bounded window in memory. Lints therefore must only touch
-//! `ctx.cols` at the *current* instruction index (or indices inside the
-//! cursor's window) — end-of-trace reporting works from state captured
-//! during the sweep, not by random access back into the columns.
+//! over a resident trace every lint sees one cursor spanning the whole
+//! trace, while over a [`TraceReader`] the same callbacks replay chunk by
+//! chunk, holding only the reader's bounded window in memory. Lints
+//! therefore must only touch `ctx.cols` at the *current* instruction
+//! index (or indices inside the cursor's window) — end-of-trace reporting
+//! works from state captured during the sweep, not by random access back
+//! into the columns.
 
 use std::io::{Read, Seek};
 
 use wasteprof_trace::{
     AnalysisDriver, ColumnMask, Subscription, Trace, TraceAnalysis, TraceIoError, TraceReader,
+    TraceSource,
 };
 
 use crate::diag::{sort_diags, Diag};
@@ -133,36 +134,40 @@ impl Registry {
         }
     }
 
-    /// Runs every registered lint over the trace in one streaming sweep
-    /// and returns the diagnostics in canonical sorted order.
-    pub fn run(&mut self, trace: &Trace) -> Vec<Diag> {
+    /// Runs every registered lint over `src` in one streaming sweep and
+    /// returns the diagnostics in canonical sorted order. A streamed
+    /// source decodes only the battery's subscription union (see
+    /// [`AnalysisDriver::run_source`]).
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error of a streamed source.
+    pub fn run_source<S: TraceSource>(&mut self, src: &mut S) -> Result<Vec<Diag>, TraceIoError> {
         let mut battery = self.as_analysis("lints");
         let mut driver = AnalysisDriver::new();
         driver.register(&mut battery);
-        driver.run(trace);
+        let swept = driver.run_source(src);
         drop(driver);
-        battery.take_diags()
+        swept?;
+        Ok(battery.take_diags())
     }
 
-    /// Out-of-core variant of [`Registry::run`]: drives the same lint
-    /// battery over a [`TraceReader`]'s segment stream, holding only the
-    /// reader's bounded chunk window in memory. The reader's decode mask
-    /// is narrowed to the battery's subscription union for the duration,
-    /// so unsubscribed column streams are skipped, not decompressed.
-    /// `begin` and `finish` see an empty cursor (but the real tables and
-    /// `total`); `on_instr` sees a cursor over the chunk containing the
-    /// current index.
+    /// [`run_source`](Registry::run_source) over a resident trace.
+    pub fn run(&mut self, trace: &Trace) -> Vec<Diag> {
+        self.run_source(&mut &*trace)
+            .expect("a resident trace never fails to scan")
+    }
+
+    /// [`run_source`](Registry::run_source) over a `WPTRACE2` reader.
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error.
     pub fn run_streamed<R: Read + Seek>(
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<Vec<Diag>, TraceIoError> {
-        let mut battery = self.as_analysis("lints");
-        let mut driver = AnalysisDriver::new();
-        driver.register(&mut battery);
-        let swept = driver.run_streamed(reader);
-        drop(driver);
-        swept?;
-        Ok(battery.take_diags())
+        self.run_source(reader)
     }
 }
 

@@ -12,7 +12,7 @@ use std::io::Cursor;
 
 use wasteprof_browser::Sched;
 use wasteprof_checker::{
-    certify, certify_streamed, dead_writes, dead_writes_streamed, verify, verify_streamed, Code,
+    certify, certify_streamed, dead_writes, dead_writes_streamed, verify, verify_source, Code,
     Diag, Mutation, SliceMutation, TraceMutator,
 };
 use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions};
@@ -48,7 +48,7 @@ fn reader_for(trace: &Trace) -> TraceReader<Cursor<Vec<u8>>> {
 /// across evicted chunks).
 fn check_verify(trace: &Trace, label: &str) -> Vec<Diag> {
     let mem = verify(trace);
-    let st = verify_streamed(&mut reader_for(trace)).unwrap();
+    let st = verify_source(&mut reader_for(trace)).unwrap();
     let key = |d: &Diag| (d.code, d.pos);
     assert_eq!(
         st.iter().map(key).collect::<Vec<_>>(),

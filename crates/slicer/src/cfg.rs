@@ -12,10 +12,8 @@ use std::collections::HashMap;
 use std::io::{Read, Seek};
 
 use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TraceReader,
+    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TraceReader, TraceSource,
 };
-
-use crate::source::RowSource;
 
 /// Index of a node within one function's CFG.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -197,33 +195,36 @@ pub struct CfgSet {
 }
 
 impl CfgSet {
-    /// Builds the CFG of every function executed in `trace`.
+    /// Builds the CFG of every function executed in `src`, folding one
+    /// window of rows at a time.
     ///
     /// Functions are delimited by matching calls and returns per thread;
     /// frames still open at the end of the trace are closed with an edge to
     /// the virtual exit so every observed node reaches it.
-    pub fn build(trace: &Trace) -> Self {
-        CfgSet::of(&mut &*trace).expect("resident rows never fail to read")
-    }
-
-    /// Builds the CFG set from a `WPTRACE2` stream without materializing
-    /// the trace: chunks are decoded one bounded window at a time.
     ///
     /// # Errors
     ///
-    /// Any chunk decode or read error from the underlying
-    /// [`TraceReader`].
-    pub fn build_streamed<R: Read + Seek>(
-        reader: &mut TraceReader<R>,
-    ) -> Result<Self, TraceIoError> {
-        CfgSet::of(reader)
-    }
-
-    /// Folds the CFGs over every row of `src`.
-    pub(crate) fn of(src: &mut impl RowSource) -> Result<Self, TraceIoError> {
+    /// A chunk read or decode error of a streamed source.
+    pub fn build_source<S: TraceSource>(src: &mut S) -> Result<Self, TraceIoError> {
         let mut b = CfgBuilder::new();
         src.scan(0, src.len(), |cur| b.feed(cur))?;
         Ok(b.finish())
+    }
+
+    /// [`build_source`](CfgSet::build_source) over a resident trace.
+    pub fn build(trace: &Trace) -> Self {
+        CfgSet::build_source(&mut &*trace).expect("a resident trace never fails to scan")
+    }
+
+    /// [`build_source`](CfgSet::build_source) over a `WPTRACE2` reader.
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error.
+    pub fn build_streamed<R: Read + Seek>(
+        reader: &mut TraceReader<R>,
+    ) -> Result<Self, TraceIoError> {
+        CfgSet::build_source(reader)
     }
 
     fn step(

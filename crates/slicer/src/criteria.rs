@@ -10,8 +10,7 @@
 //!   audio). This slice is by construction a superset of the pixel slice
 //!   whenever the framebuffer is handed to the display through a syscall.
 
-use std::io::{Read, Seek};
-use wasteprof_trace::{AddrRange, InstrKind, RegSet, Trace, TraceIoError, TracePos, TraceReader};
+use wasteprof_trace::{AddrRange, InstrKind, RegSet, Trace, TraceIoError, TracePos, TraceSource};
 
 /// One slicing criterion: at `pos`, the given memory ranges and registers
 /// are declared *necessary*.
@@ -95,60 +94,34 @@ impl FromIterator<SlicingCriterion> for Criteria {
 /// Builds pixel-buffer criteria from the trace's marker records.
 ///
 /// Every marker is a point where a tile buffer contains final display pixel
-/// values; the criterion makes that buffer live there.
-pub fn pixel_criteria(trace: &Trace) -> Criteria {
-    trace
-        .markers()
+/// values; the criterion makes that buffer live there. Markers are a
+/// table, so a streamed source reads no rows.
+pub fn pixel_criteria_source<S: TraceSource + ?Sized>(src: &S) -> Criteria {
+    src.markers()
         .iter()
         .map(|m| SlicingCriterion::mem_at(m.pos, vec![m.tile]))
         .collect()
 }
 
-/// Streamed variant of [`pixel_criteria`] over a [`TraceReader`].
-///
-/// Markers live in the footer, so this needs no segment reads at all.
-pub fn pixel_criteria_streamed<R: Read + Seek>(reader: &TraceReader<R>) -> Criteria {
-    reader
-        .markers()
-        .iter()
-        .map(|m| SlicingCriterion::mem_at(m.pos, vec![m.tile]))
-        .collect()
+/// [`pixel_criteria_source`] over a resident trace.
+pub fn pixel_criteria(trace: &Trace) -> Criteria {
+    pixel_criteria_source(&trace)
 }
 
 /// Builds syscall criteria: at every *output* syscall, the values it reads
 /// (payload buffers and argument registers) are necessary, and the syscall
-/// itself is part of the slice.
+/// itself is part of the slice. One forward scan of the rows.
 ///
 /// Input syscalls (e.g. `recvfrom`) are not criteria — their buffers only
 /// become live if something downstream that is already necessary reads
 /// them.
-pub fn syscall_criteria(trace: &Trace) -> Criteria {
+///
+/// # Errors
+///
+/// A chunk read or decode error of a streamed source.
+pub fn syscall_criteria_source<S: TraceSource>(src: &mut S) -> Result<Criteria, TraceIoError> {
     let mut items = Vec::new();
-    let cols = trace.columns();
-    for idx in 0..cols.len() {
-        if let InstrKind::Syscall { nr } = cols.kind(idx) {
-            if !nr.is_output() {
-                continue;
-            }
-            items.push(SlicingCriterion {
-                pos: TracePos(idx as u64),
-                mem: cols.mem_reads(idx).to_vec(),
-                regs: cols.reg_reads(idx),
-                include_instr: true,
-            });
-        }
-    }
-    Criteria::new(items)
-}
-
-/// Streamed variant of [`syscall_criteria`]: one forward pass over the
-/// reader's segments, holding only the bounded chunk window in memory.
-pub fn syscall_criteria_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Criteria, TraceIoError> {
-    let mut items = Vec::new();
-    let n = reader.len();
-    reader.stream_range(0, n, |cur| {
+    src.scan(0, src.len(), |cur| {
         for idx in cur.lo()..cur.hi() {
             if let InstrKind::Syscall { nr } = cur.kind(idx) {
                 if !nr.is_output() {
@@ -164,6 +137,11 @@ pub fn syscall_criteria_streamed<R: Read + Seek>(
         }
     })?;
     Ok(Criteria::new(items))
+}
+
+/// [`syscall_criteria_source`] over a resident trace.
+pub fn syscall_criteria(trace: &Trace) -> Criteria {
+    syscall_criteria_source(&mut &*trace).expect("a resident trace never fails to scan")
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! though the symbolic work for the shared rows is identical. This module
 //! is the one driver of the summarize → stitch → replay phases
 //! ([`crate::parallel`]), over a resident trace or a `WPTRACE2` stream
-//! ([`RowSource`]), and it makes their results *reusable across runs*:
+//! (any [`TraceSource`]), and it makes their results *reusable across runs*:
 //!
 //! * **Content-addressed summaries.** The trace is cut at fixed
 //!   [`SEGMENT_LEN`] boundaries (64-aligned, stable under append). A
@@ -57,7 +57,6 @@
 //! or corrupted file loads as an empty cache: a cold start, still exact.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -65,7 +64,7 @@ use rayon::prelude::*;
 use wasteprof_trace::compress::{put_varint, ByteReader};
 use wasteprof_trace::{
     segment_content_hash, Addr, AddrRange, FuncId, Pc, RegSet, ThreadId, Trace, TraceIoError,
-    TraceReader, SEGMENT_LEN,
+    TraceSource, SEGMENT_LEN,
 };
 
 use crate::cdg::{ControlDeps, PendingTransfer};
@@ -77,7 +76,7 @@ use crate::parallel::{
     SegFrames, SegSummary, StructuralScan, Summarizer, NREGS, NTHREADS,
 };
 use crate::slice::{considered_prefix, walk, ForwardPass, SliceOptions, SliceResult};
-use crate::source::RowSource;
+use crate::source::per_segment;
 
 /// Default byte budget for cached summaries (~256 MiB).
 const DEFAULT_BUDGET: u64 = 256 << 20;
@@ -506,17 +505,34 @@ impl SummaryCache {
         };
     }
 
-    /// Slices `trace`, reusing every cached segment summary that is
-    /// still valid. Byte-identical to [`crate::slice`] with a fresh
-    /// [`ForwardPass`] over the same trace.
+    /// Slices `src`, reusing every cached segment summary that is still
+    /// valid. Byte-identical to [`crate::slice_source`] with a fresh
+    /// [`ForwardPass`] over the same rows. Over a `WPTRACE2` reader, a
+    /// segment that is exactly one disk chunk takes its hash from the
+    /// footer (the rest are hashed as they stream), and summaries are
+    /// computed one segment at a time through the reader's bounded window.
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error of a streamed source.
+    pub fn slice_source<S: TraceSource>(
+        &mut self,
+        src: &mut S,
+        criteria: &Criteria,
+        options: &SliceOptions,
+    ) -> Result<SliceResult, TraceIoError> {
+        self.run(src, SEGMENT_LEN, None, None, criteria, options)
+    }
+
+    /// [`slice_source`](SummaryCache::slice_source) over a resident trace.
     pub fn slice(
         &mut self,
         trace: &Trace,
         criteria: &Criteria,
         options: &SliceOptions,
     ) -> SliceResult {
-        self.run(&mut &*trace, SEGMENT_LEN, None, None, criteria, options)
-            .expect("resident rows never fail to read")
+        self.slice_source(&mut &*trace, criteria, options)
+            .expect("a resident trace never fails to scan")
     }
 
     /// [`slice`](SummaryCache::slice) with precomputed segment hashes,
@@ -543,26 +559,7 @@ impl SummaryCache {
             criteria,
             options,
         )
-        .expect("resident rows never fail to read")
-    }
-
-    /// Incremental slicing over a `WPTRACE2` stream: a segment that is
-    /// exactly one disk chunk takes its hash from the footer (the rest
-    /// are hashed as they stream), and summaries are computed one
-    /// segment at a time through the reader's bounded window.
-    /// Byte-identical to [`crate::slice_streamed`].
-    ///
-    /// # Errors
-    ///
-    /// Any chunk decode or read error from the underlying
-    /// [`TraceReader`].
-    pub fn slice_streamed<R: Read + Seek>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-        criteria: &Criteria,
-        options: &SliceOptions,
-    ) -> Result<SliceResult, TraceIoError> {
-        self.run(reader, SEGMENT_LEN, None, None, criteria, options)
+        .expect("a resident trace never fails to scan")
     }
 
     // -- internals ----------------------------------------------------
@@ -732,7 +729,7 @@ impl SummaryCache {
     /// (checkpoints sit on the [`SEGMENT_LEN`] grid, so only that grid
     /// may pass `None`). Anything the symbolic pass cannot express takes
     /// the sequential walk instead, counted in [`CacheStats::fallbacks`].
-    fn run<S: RowSource>(
+    fn run<S: TraceSource>(
         &mut self,
         src: &mut S,
         grid: usize,
@@ -753,7 +750,7 @@ impl SummaryCache {
             .windows(2)
             .map(|w| match hashes.and_then(|h| h.get(w[0], w[1])) {
                 Some(h) => Ok(h),
-                None => src.seg_hash(w[0], w[1]),
+                None => src.content_hash(w[0], w[1]),
             })
             .collect::<Result<Vec<_>, _>>()?;
         let chains = prefix_chains(&seg_hashes);
@@ -776,7 +773,7 @@ impl SummaryCache {
                         src.scan(lo, hi, |cur| b.feed(cur))
                     })?
                 } else {
-                    Arc::new(ForwardPass::from_cfgs(CfgSet::of(src)?))
+                    Arc::new(ForwardPass::from_cfgs(CfgSet::build_source(src)?))
                 };
                 &built
             }
@@ -791,7 +788,8 @@ impl SummaryCache {
         let ranges: Vec<(usize, usize)> =
             misses.iter().map(|&i| (plan[i].lo, plan[i].hi)).collect();
         let items = criteria.items();
-        let computed = src.per_segment(
+        let computed = per_segment(
+            src,
             &ranges,
             |j| {
                 let (i, p) = (misses[j], &plan[misses[j]]);
@@ -835,7 +833,7 @@ impl SummaryCache {
         } else {
             options.timeline_interval
         };
-        let (nfuncs, tracked) = (src.nfuncs(), options.tracked_thread);
+        let (nfuncs, tracked) = (src.functions().len(), options.tracked_thread);
         let fkeys: Vec<[u64; 2]> = (0..nsegs)
             .map(|i| final_key(skeys[i], replays[i].lo, n, interval, nfuncs, tracked))
             .collect();
@@ -846,7 +844,8 @@ impl SummaryCache {
             .iter()
             .map(|&i| (replays[i].lo, replays[i].hi))
             .collect();
-        let replayed = src.per_segment(
+        let replayed = per_segment(
+            src,
             &ranges,
             |j| Finalizer::new(&replays[fresh[j]], n, nfuncs, interval, tracked),
             |f, cur| f.feed(cur),
@@ -875,7 +874,7 @@ impl SummaryCache {
     /// Runs the driver over a `k`-way, 64-aligned grid with the caller's
     /// forward pass: the engine behind an explicit
     /// [`SliceOptions::segments`] `> 1`.
-    pub(crate) fn run_k<S: RowSource>(
+    pub(crate) fn run_k<S: TraceSource>(
         &mut self,
         src: &mut S,
         k: usize,
@@ -889,7 +888,7 @@ impl SummaryCache {
     }
 
     /// The sequential walk, for runs the segment driver declines.
-    fn fallback<S: RowSource>(
+    fn fallback<S: TraceSource>(
         &mut self,
         src: &mut S,
         forward: Option<&ForwardPass>,
@@ -901,7 +900,7 @@ impl SummaryCache {
         match forward {
             Some(f) => walk(src, f, criteria, options),
             None => {
-                let f = ForwardPass::from_cfgs(CfgSet::of(src)?);
+                let f = ForwardPass::from_cfgs(CfgSet::build_source(src)?);
                 walk(src, &f, criteria, options)
             }
         }

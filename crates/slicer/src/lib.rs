@@ -63,12 +63,15 @@ mod witness;
 pub use cdg::{Cdg, ControlDeps};
 pub use cfg::{Cfg, CfgNode, CfgSet, NodeId};
 pub use criteria::{
-    pixel_criteria, pixel_criteria_streamed, syscall_criteria, syscall_criteria_streamed, Criteria,
-    SlicingCriterion,
+    pixel_criteria, pixel_criteria_source, pixel_criteria_source as pixel_criteria_streamed,
+    syscall_criteria, syscall_criteria_source, Criteria, SlicingCriterion,
 };
 pub use incremental::{CacheStats, SegmentHashes, SummaryCache};
 pub use live::{AddrSet, IntervalSet, LiveState};
 pub use postdom::PostDoms;
-pub use slice::{slice, slice_streamed, ForwardPass, SliceOptions, SliceResult, TimelinePoint};
+pub use slice::{
+    slice, slice_source, slice_source as slice_streamed, ForwardPass, SliceOptions, SliceResult,
+    TimelinePoint,
+};
 pub use strip::{strip_allocator_deps, ALLOCATOR_FN};
 pub use witness::{WitnessKind, WitnessRow, Witnesses};

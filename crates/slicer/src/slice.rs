@@ -15,6 +15,7 @@ use std::io::{Read, Seek};
 
 use wasteprof_trace::{
     ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TracePos, TraceReader,
+    TraceSource,
 };
 
 use crate::cdg::ControlDeps;
@@ -22,7 +23,6 @@ use crate::cfg::CfgSet;
 use crate::criteria::Criteria;
 use crate::incremental::SummaryCache;
 use crate::live::LiveState;
-use crate::source::RowSource;
 use crate::witness::{Edge, Sink};
 
 /// The forward pass artifacts: per-function CFGs and the control-dependence
@@ -35,26 +35,32 @@ pub struct ForwardPass {
 }
 
 impl ForwardPass {
-    /// Runs the forward pass over `trace`.
-    pub fn build(trace: &Trace) -> Self {
-        let cfgs = CfgSet::build(trace);
-        let deps = ControlDeps::compute(&cfgs);
-        ForwardPass { cfgs, deps }
-    }
-
-    /// Runs the forward pass over a `WPTRACE2` stream without ever holding
-    /// the whole trace: the CFG fold consumes one bounded chunk at a time,
-    /// and the control-dependence relation is a function of the CFGs alone.
+    /// Runs the forward pass over `src`: the CFG fold consumes one window
+    /// of rows at a time, and the control-dependence relation is a
+    /// function of the CFGs alone.
     ///
     /// # Errors
     ///
-    /// Any chunk decode or read error from the underlying [`TraceReader`].
+    /// A chunk read or decode error of a streamed source.
+    pub fn build_source<S: TraceSource>(src: &mut S) -> Result<Self, TraceIoError> {
+        Ok(ForwardPass::from_cfgs(CfgSet::build_source(src)?))
+    }
+
+    /// [`build_source`](ForwardPass::build_source) over a resident trace.
+    pub fn build(trace: &Trace) -> Self {
+        ForwardPass::from_cfgs(CfgSet::build(trace))
+    }
+
+    /// [`build_source`](ForwardPass::build_source) over a `WPTRACE2`
+    /// reader.
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error.
     pub fn build_streamed<R: Read + Seek>(
         reader: &mut TraceReader<R>,
     ) -> Result<Self, TraceIoError> {
-        let cfgs = CfgSet::build_streamed(reader)?;
-        let deps = ControlDeps::compute(&cfgs);
-        Ok(ForwardPass { cfgs, deps })
+        ForwardPass::build_source(reader)
     }
 
     /// The reconstructed CFGs.
@@ -309,8 +315,30 @@ impl SliceResult {
     }
 }
 
-/// Runs the backward pass over `trace` with the given forward-pass
-/// artifacts and criteria.
+/// Runs the backward pass over `src` with the given forward-pass
+/// artifacts and criteria. Over a `WPTRACE2` reader it never holds more
+/// than a bounded window of decoded chunks, and the result is
+/// byte-identical to a resident run at any segment count.
+///
+/// # Errors
+///
+/// A chunk read or decode error of a streamed source, or
+/// [`TraceIoError::Format`] when [`SliceOptions::witness`] is on and the
+/// considered prefix exceeds `u32::MAX` instructions (witness rows hold
+/// `u32` positions).
+pub fn slice_source<S: TraceSource>(
+    src: &mut S,
+    forward: &ForwardPass,
+    criteria: &Criteria,
+    options: &SliceOptions,
+) -> Result<SliceResult, TraceIoError> {
+    if options.segments > 1 {
+        return SummaryCache::new().run_k(src, options.segments, forward, criteria, options);
+    }
+    walk(src, forward, criteria, options)
+}
+
+/// [`slice_source`] over a resident trace.
 ///
 /// # Examples
 ///
@@ -337,50 +365,17 @@ pub fn slice(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> SliceResult {
-    slice_rows(&mut &*trace, forward, criteria, options).expect(
-        "resident rows never fail to read, and a witnessed prefix must fit u32 positions \
+    slice_source(&mut &*trace, forward, criteria, options).expect(
+        "a resident trace never fails to scan, and a witnessed prefix must fit u32 positions \
          (at most u32::MAX instructions)",
     )
-}
-
-/// Runs the backward pass over a `WPTRACE2` stream, never holding more
-/// than a bounded window of decoded chunks: the exact per-instruction
-/// steps of [`slice()`] driven by streamed cursors instead of one in-memory
-/// cursor, so the result is byte-identical to the in-memory path at any
-/// segment count.
-///
-/// # Errors
-///
-/// Any chunk decode or read error from the underlying [`TraceReader`], or
-/// [`TraceIoError::Format`] when [`SliceOptions::witness`] is on and the
-/// considered prefix exceeds `u32::MAX` instructions (witness rows hold
-/// `u32` positions).
-pub fn slice_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    options: &SliceOptions,
-) -> Result<SliceResult, TraceIoError> {
-    slice_rows(reader, forward, criteria, options)
-}
-
-fn slice_rows<S: RowSource>(
-    src: &mut S,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    options: &SliceOptions,
-) -> Result<SliceResult, TraceIoError> {
-    if options.segments > 1 {
-        return SummaryCache::new().run_k(src, options.segments, forward, criteria, options);
-    }
-    walk(src, forward, criteria, options)
 }
 
 /// The sequential reference walk (§III-B). With
 /// [`SliceOptions::witness`] on it carries a witness [`Sink`] and returns
 /// the table it wrote along the way; every witnessed path takes its table
 /// from here.
-pub(crate) fn walk<S: RowSource>(
+pub(crate) fn walk<S: TraceSource>(
     src: &mut S,
     forward: &ForwardPass,
     criteria: &Criteria,
@@ -388,7 +383,7 @@ pub(crate) fn walk<S: RowSource>(
 ) -> Result<SliceResult, TraceIoError> {
     let n = considered_prefix(src.len(), options);
     let sink = options.witness.then(|| Sink::new(n)).transpose()?;
-    let mut bw = Backward::new(src.nfuncs(), forward, criteria, options, n, sink);
+    let mut bw = Backward::new(src.functions().len(), forward, criteria, options, n, sink);
     src.scan(0, n, |cur| bw.prescan(cur))?;
     bw.seal_frames();
     src.scan_rev(0, n, |cur| bw.feed(cur))?;

@@ -243,7 +243,7 @@ fn streamed_incremental_matches_resident() {
         let mut reader = TraceReader::open(Cursor::new(buf.clone())).expect("open trace");
         let mut cold = SummaryCache::new();
         let got = cold
-            .slice_streamed(&mut reader, &criteria, &opts)
+            .slice_source(&mut reader, &criteria, &opts)
             .expect("streamed incremental slice");
         assert_eq!(got, want, "chunk {chunk}");
         assert_eq!(cold.stats().fallbacks, 0, "chunk {chunk}");
@@ -253,7 +253,7 @@ fn streamed_incremental_matches_resident() {
         cache.reset_stats();
         let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
         let again = cache
-            .slice_streamed(&mut reader, &criteria, &opts)
+            .slice_source(&mut reader, &criteria, &opts)
             .expect("streamed incremental slice");
         assert_eq!(again, want, "chunk {chunk}");
         let s = cache.stats();

@@ -13,7 +13,7 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use wasteprof_slicer::{
     pixel_criteria, pixel_criteria_streamed, slice, slice_streamed, syscall_criteria,
-    syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SlicingCriterion,
+    syscall_criteria_source, Criteria, ForwardPass, SliceOptions, SlicingCriterion,
 };
 use wasteprof_trace::{
     site, Recorder, Reg, RegSet, Region, Syscall, ThreadKind, Trace, Trace2Writer, TracePos,
@@ -91,7 +91,7 @@ fn streamed_criteria_and_slices_match_in_memory() {
         pixel_criteria(&trace).items()
     );
     assert_eq!(
-        syscall_criteria_streamed(&mut reader).unwrap().items(),
+        syscall_criteria_source(&mut reader).unwrap().items(),
         syscall_criteria(&trace).items()
     );
 

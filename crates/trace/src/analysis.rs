@@ -10,8 +10,8 @@
 //!   reads as a [`Subscription`] — a [`ColumnMask`] over the per-column
 //!   streams plus optional derived events (call/ret frames, syscalls);
 //! * an [`AnalysisDriver`] fuses any set of registered analyses into ONE
-//!   sweep, in memory over packed [`Columns`] or streamed from a
-//!   `WPTRACE2` [`TraceReader`];
+//!   sweep over any [`TraceSource`]: packed [`Columns`] in memory or a
+//!   `WPTRACE2` [`TraceReader`] streamed from disk;
 //! * on the streamed path the driver narrows the reader's decode mask to
 //!   the union of all subscriptions, so column streams nobody subscribed
 //!   to are *skipped, not decompressed* (see
@@ -30,6 +30,7 @@ use crate::func::{FuncId, FunctionRegistry};
 use crate::instr::InstrKind;
 use crate::io::TraceIoError;
 use crate::reader::TraceReader;
+use crate::source::TraceSource;
 use crate::syscall::Syscall;
 use crate::thread::ThreadTable;
 use crate::trace::{MarkerRecord, Trace};
@@ -153,8 +154,8 @@ pub struct AnalysisCtx<'a> {
     /// The marker (tile-log) records.
     pub markers: &'a [MarkerRecord],
     /// Cursor over the packed columns. During per-instruction callbacks it
-    /// always contains the current index; during `begin`/`finish` of a
-    /// streamed run it may be empty.
+    /// always contains the current index; during `begin`/`finish` it is
+    /// empty.
     pub cols: ColumnCursor<'a>,
     /// Total instruction count of the trace under analysis. Unlike the
     /// cursor bounds, this is valid in every callback.
@@ -215,9 +216,9 @@ impl SubIndex {
 
 /// Fuses N registered analyses into one shared sweep.
 ///
-/// The driver borrows each analysis mutably for its own lifetime; after
-/// `run`/`run_streamed` returns (and the driver is dropped), callers read
-/// results straight out of their analysis values.
+/// The driver borrows each analysis mutably for its own lifetime; after a
+/// run returns (and the driver is dropped), callers read results straight
+/// out of their analysis values.
 #[derive(Default)]
 pub struct AnalysisDriver<'d> {
     analyses: Vec<&'d mut dyn TraceAnalysis>,
@@ -304,88 +305,65 @@ impl<'d> AnalysisDriver<'d> {
         }
     }
 
-    /// Runs every registered analysis over the in-memory trace in one
-    /// fused sweep.
-    pub fn run(&mut self, trace: &Trace) {
+    /// Runs every registered analysis over `src` in one fused sweep.
+    ///
+    /// Before the sweep the source's decode mask is narrowed to the
+    /// subscription union, so a streamed source skips the column streams
+    /// nobody subscribed to instead of decompressing them; the previous
+    /// mask is restored before returning. `begin` and `finish` see an
+    /// empty cursor (but the real tables and `total`); per-instruction
+    /// callbacks see a cursor over the window holding the current index.
+    ///
+    /// # Errors
+    ///
+    /// A chunk read or decode error of a streamed source.
+    pub fn run_source<S: TraceSource>(&mut self, src: &mut S) -> Result<(), TraceIoError> {
         let subs = self.sub_index();
-        let total = trace.columns().len();
-        let ctx = AnalysisCtx {
-            funcs: trace.functions(),
-            threads: trace.threads(),
-            markers: trace.markers(),
-            cols: trace.columns().cursor(0, total),
+        // The scan borrows `src` mutably, so the context owns its tables.
+        let funcs = src.functions().clone();
+        let threads = src.threads().clone();
+        let markers = src.markers().to_vec();
+        let total = src.len();
+        let empty = Columns::default();
+        let edge = AnalysisCtx {
+            funcs: &funcs,
+            threads: &threads,
+            markers: &markers,
+            cols: empty.cursor(0, 0),
             total,
         };
         for a in &mut self.analyses {
-            a.begin(&ctx);
+            a.begin(&edge);
         }
-        self.sweep(&ctx, &subs);
+        let prev_mask = src.decode_mask();
+        src.set_decode_mask(self.subscription().effective_columns());
+        let swept = src.scan(0, total, |cur| {
+            self.sweep(&AnalysisCtx { cols: *cur, ..edge }, &subs);
+        });
+        src.set_decode_mask(prev_mask);
+        swept?;
         for a in &mut self.analyses {
-            a.finish(&ctx);
+            a.finish(&edge);
         }
+        Ok(())
     }
 
-    /// Out-of-core variant of [`AnalysisDriver::run`]: drives the fused
-    /// sweep from a `WPTRACE2` [`TraceReader`]'s segment stream, holding
-    /// only the reader's bounded chunk window in memory — and *selectively
-    /// decoding* it: before streaming, the reader's decode mask is
-    /// narrowed to the subscription union, so column streams nobody
-    /// subscribed to are skipped instead of decompressed. The previous
-    /// mask is restored before returning.
+    /// [`run_source`](AnalysisDriver::run_source) over a resident trace.
+    pub fn run(&mut self, trace: &Trace) {
+        self.run_source(&mut &*trace)
+            .expect("a resident trace never fails to scan");
+    }
+
+    /// [`run_source`](AnalysisDriver::run_source) over a `WPTRACE2` reader.
     ///
-    /// `begin` and `finish` see an empty cursor (but the real tables and
-    /// `total`); per-instruction callbacks see a cursor over the chunk
-    /// containing the current index.
+    /// # Errors
+    ///
+    /// A chunk read or decode error.
     pub fn run_streamed<R: Read + Seek>(
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<(), TraceIoError> {
-        let subs = self.sub_index();
-        let funcs = reader.functions().clone();
-        let threads = reader.threads().clone();
-        let markers = reader.markers().to_vec();
-        let total = reader.len();
-        let empty = Columns::default();
-        {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: empty.cursor(0, 0),
-                total,
-            };
-            for a in &mut self.analyses {
-                a.begin(&ctx);
-            }
-        }
-        let prev_mask = reader.decode_mask();
-        reader.set_decode_mask(self.subscription().effective_columns());
-        let swept = reader.stream_range(0, total, |cur| {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: *cur,
-                total,
-            };
-            // Rebind the window: `sweep` walks the cursor's own bounds.
-            self.sweep(&ctx, &subs);
-        });
-        reader.set_decode_mask(prev_mask);
-        swept?;
-        {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: empty.cursor(0, 0),
-                total,
-            };
-            for a in &mut self.analyses {
-                a.finish(&ctx);
-            }
-        }
-        Ok(())
+        self.run_source(reader)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use crate::addr::{Addr, AddrRange};
 use crate::columns::Columns;
@@ -15,11 +15,41 @@ use crate::func::{FuncId, FunctionRegistry};
 use crate::instr::{InstrKind, TracePos};
 use crate::pc::Pc;
 use crate::reg::RegSet;
+use crate::segment::MAGIC2;
 use crate::syscall::Syscall;
 use crate::thread::{ThreadId, ThreadKind, ThreadTable};
 use crate::trace::{MarkerRecord, Trace};
 
 const MAGIC: &[u8; 8] = b"WPTRACE1";
+
+/// The two on-disk trace tiers, told apart by their 8-byte magic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceTier {
+    /// `WPTRACE1`: one stream, read whole into memory by [`read_trace`].
+    Resident,
+    /// `WPTRACE2`: compressed chunks, streamed by a
+    /// [`TraceReader`](crate::TraceReader).
+    Chunked,
+}
+
+/// Reads which tier `r` holds from the magic at its start, then rewinds
+/// `r` to the start for the tier's reader.
+///
+/// # Errors
+///
+/// [`TraceIoError::Format`] if the magic is neither tier's;
+/// [`TraceIoError::Io`] if the first 8 bytes cannot be read.
+pub fn trace_tier(r: &mut (impl Read + Seek)) -> Result<TraceTier, TraceIoError> {
+    let mut magic = [0u8; 8];
+    r.seek(SeekFrom::Start(0))?;
+    r.read_exact(&mut magic)?;
+    r.seek(SeekFrom::Start(0))?;
+    match &magic {
+        MAGIC => Ok(TraceTier::Resident),
+        MAGIC2 => Ok(TraceTier::Chunked),
+        _ => Err(bad("bad magic (neither WPTRACE1 nor WPTRACE2)")),
+    }
+}
 
 /// Errors produced while reading or writing a trace file.
 #[derive(Debug)]

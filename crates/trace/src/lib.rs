@@ -57,6 +57,7 @@ mod reader;
 mod recorder;
 mod reg;
 pub mod segment;
+mod source;
 mod syscall;
 mod thread;
 mod trace;
@@ -66,12 +67,13 @@ pub use analysis::{AnalysisCtx, AnalysisDriver, ColumnMask, Subscription, TraceA
 pub use columns::{ColumnCursor, Columns, MemOpsRef};
 pub use func::{FuncId, FuncInfo, FunctionRegistry};
 pub use instr::{Instr, InstrKind, MemMulti, MemOps, TracePos};
-pub use io::{read_trace, write_trace, TraceIoError};
+pub use io::{read_trace, trace_tier, write_trace, TraceIoError, TraceTier};
 pub use pc::Pc;
 pub use reader::{write_trace2, DecodeStats, Trace2Stats, Trace2Writer, TraceReader};
 pub use recorder::Recorder;
 pub use reg::{Reg, RegSet};
 pub use segment::{segment_content_hash, ContentHasher, SegmentMeta, SEGMENT_LEN};
+pub use source::TraceSource;
 pub use syscall::Syscall;
 pub use thread::{ThreadId, ThreadInfo, ThreadKind, ThreadTable};
 pub use trace::{InstrDisplay, Instrs, KindHistogram, MarkerRecord, Trace};

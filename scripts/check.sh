@@ -53,13 +53,13 @@ echo "== out-of-core smoke (convert, streamed slice identical, streamed certify)
 trap 'rm -f "$smoke_trace" "$smoke_trace.2"' EXIT
 target/release/trace_tool convert "$smoke_trace" "$smoke_trace.2"
 diff <(target/release/trace_tool slice "$smoke_trace") \
-    <(target/release/trace_tool slice "$smoke_trace.2" --out-of-core)
+    <(target/release/trace_tool slice "$smoke_trace.2")
 diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
-    <(target/release/trace_tool slice "$smoke_trace.2" --criteria syscalls --out-of-core)
-target/release/trace_tool check "$smoke_trace.2" --out-of-core
-target/release/trace_tool certify "$smoke_trace.2" --segments 8 --out-of-core
+    <(target/release/trace_tool slice "$smoke_trace.2" --criteria syscalls)
+target/release/trace_tool check "$smoke_trace.2"
+target/release/trace_tool certify "$smoke_trace.2" --segments 8
 
-echo "== witness identity (certify digest: in memory, --segments 8, --out-of-core) =="
+echo "== witness identity (certify digest: in memory, --segments 8, streamed WPTRACE2) =="
 # The "certified:" line carries the witness table's digest, so the three
 # paths must print the same line for each criteria set.
 for criteria in pixels syscalls; do
@@ -67,16 +67,16 @@ for criteria in pixels syscalls; do
     diff <(echo "$want") \
         <(target/release/trace_tool certify "$smoke_trace" --criteria "$criteria" --segments 8)
     diff <(echo "$want") \
-        <(target/release/trace_tool certify "$smoke_trace.2" --criteria "$criteria" --out-of-core)
+        <(target/release/trace_tool certify "$smoke_trace.2" --criteria "$criteria")
 done
 
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
 # The full fused pass and every subset must agree between the in-memory
 # and selectively-decoded out-of-core paths; the clean session exits 0.
 diff <(target/release/trace_tool analyze "$smoke_trace" --json 2>/dev/null) \
-    <(target/release/trace_tool analyze "$smoke_trace.2" --out-of-core --json 2>/dev/null)
+    <(target/release/trace_tool analyze "$smoke_trace.2" --json 2>/dev/null)
 diff <(target/release/trace_tool analyze "$smoke_trace" --analyses lints,frames --json 2>/dev/null) \
-    <(target/release/trace_tool analyze "$smoke_trace.2" --analyses lints,frames --out-of-core --json 2>/dev/null)
+    <(target/release/trace_tool analyze "$smoke_trace.2" --analyses lints,frames --json 2>/dev/null)
 # Unknown analysis names are a usage error (exit 2), not a silent no-op.
 if target/release/trace_tool analyze "$smoke_trace" --analyses bogus 2>/dev/null; then
     echo "analyze accepted an unknown analysis name" >&2
